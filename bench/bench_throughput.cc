@@ -12,20 +12,15 @@
 //     was delivered.
 //
 // Paper: AWS 1053 of 1366 generated (77.1%); Iota 8162 of 9593 (-14.91%).
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "monitor/consumer.h"
-#include "monitor/event.h"
 #include "monitor/monitor.h"
-#include "monitor/wire_v4.h"
 #include "workload/generator.h"
 
 namespace sdci::bench {
 namespace {
-
-namespace wire = monitor::wire;
 
 struct ThroughputResult {
   double generated_rate = 0;
@@ -147,18 +142,21 @@ double DrainRateWithWorkers(size_t workers) {
 // Multi-collector fan-in drain rate (AWS profile, `collectors` MDSes each
 // drained by its own collector running batched resolution with a 4-worker
 // resolver pool — fast enough that the aggregator's serial 35us/event
-// decode becomes the bottleneck at >1 collector). `ingest_workers` sizes
+// ingest becomes the bottleneck at >1 collector). `ingest_workers` sizes
 // the aggregator's decode pool; the sequencer, striped store and
 // group-commit WAL run behind it. `shards` > 1 federates the aggregator
-// into a fleet (collectors route by mdt % shards); `ingest_window`
-// overrides the reorder-buffer auto sizing (0 = auto).
-double FanInDrainRate(size_t collectors, size_t ingest_workers, size_t shards = 1,
-                      size_t ingest_window = 0,
-                      uint16_t wire_version = monitor::kWireCodecVersion) {
+// into a fleet (collectors route by mdt % shards).
+double FanInDrainRate(size_t collectors, size_t ingest_workers, size_t shards = 1) {
   auto profile = lustre::TestbedProfile::Aws();
   profile.mds_count = static_cast<uint32_t>(collectors);
+  // The decode-bound regime the ingest pool and the sharded fleet were
+  // built for: 35us of modeled ingest per event (a field-wise decode's
+  // cost) instead of the flat wire's 6us bind-and-stamp, so one ingest
+  // thread is the ceiling under fan-in and the sweeps below measure how
+  // far each remedy lifts it.
+  profile.aggregator_ingest_latency = Micros(35);
   // Low dilation: real scheduler noise enters virtual time multiplied by
-  // the dilation factor, and the 35us/event modeled decode under test is
+  // the dilation factor, and the 35us/event modeled ingest under test is
   // an order of magnitude smaller than the ops the default dilation is
   // tuned for (715us fid2path).
   TimeAuthority authority(Env::DilationFromEnv(2.0));
@@ -173,14 +171,9 @@ double FanInDrainRate(size_t collectors, size_t ingest_workers, size_t shards = 
   config.collector.resolve_mode = monitor::ResolveMode::kBatched;
   config.collector.resolver_workers = 4;
   config.collector.poll_interval = Millis(20);
-  // wire_version < 4 models a not-yet-upgraded collector fleet: the
-  // aggregator falls back to the field-wise decode and its 35us/event
-  // modeled ingest cost instead of the v4 bind-and-stamp path.
-  config.collector.wire_version = wire_version;
   config.aggregator.ingest_workers = ingest_workers;
   config.aggregator.store_shards = 4;
   config.aggregator.wal_group_max = 16;
-  config.aggregator.ingest_window = ingest_window;
   config.aggregator_shards = shards;
   monitor::Monitor mon(fs, profile, authority, context, config);
   mon.Start();
@@ -200,114 +193,6 @@ double FanInDrainRate(size_t collectors, size_t ingest_workers, size_t shards = 
       RatePerSecond(backlog - published_at_start, authority.Now() - start);
   mon.Stop();
   return rate;
-}
-
-// --- Codec sweep: real wall-clock cost of the wire format itself (the
-// one part of the pipeline the simulator does NOT model in virtual time —
-// these are the cycles the monitor would spend on a real deployment, and
-// the microbench that justifies the v4 ingest-latency profile entries). ---
-
-// Defeats dead-code elimination without dragging google-benchmark in.
-volatile uint64_t g_codec_sink = 0;
-
-monitor::FsEvent CodecSampleEvent(uint64_t i) {
-  monitor::FsEvent event;
-  event.mdt_index = static_cast<int>(i % 4);
-  event.record_index = 13106 + i;
-  event.global_seq = i;
-  event.type = lustre::ChangeLogType::kCreate;
-  event.time = Micros(1000 + static_cast<int64_t>(i));
-  event.flags = 0x11;
-  event.path = strings::Format("/projects/apsu/2017/run12/raw/scan_{}.h5", i);
-  event.name = strings::Format("scan_{}.h5", i);
-  event.target_fid = lustre::Fid{0x200000402ull, static_cast<uint32_t>(i + 2), 0};
-  event.parent_fid = lustre::Fid::Root();
-  event.trace_id = 0xfeed0000 + i;
-  event.parent_span = 0xbeef0000 + i;
-  event.hlc = HlcStamp{static_cast<int64_t>(9000 + i), 2, 1};
-  return event;
-}
-
-// Wall-clock ns per event for `fn` (which processes `ops_per_iter` events
-// per call): doubling calibration until the sample is long enough for the
-// clock to be trustworthy.
-template <typename Fn>
-double TimeNsPerOp(size_t ops_per_iter, Fn&& fn) {
-  using Clock = std::chrono::steady_clock;
-  fn();  // warm caches and the allocator
-  size_t iters = 64;
-  for (;;) {
-    const auto start = Clock::now();
-    for (size_t i = 0; i < iters; ++i) fn();
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (elapsed >= 0.02 || iters >= (size_t{1} << 22)) {
-      return elapsed * 1e9 / (static_cast<double>(iters) * static_cast<double>(ops_per_iter));
-    }
-    iters *= 4;
-  }
-}
-
-// A "consumer read" touches every fixed field and every path/name byte,
-// so the legacy and v4 decode timings cover identical work: the only
-// difference is how the bytes get from the wire into those reads.
-uint64_t TouchDecoded(const std::vector<monitor::FsEvent>& events) {
-  uint64_t sink = 0;
-  for (const auto& e : events) {
-    sink += e.record_index + e.global_seq + static_cast<uint64_t>(e.type) +
-            e.flags + e.trace_id + e.parent_span + e.hlc.logical +
-            e.target_fid.oid + e.parent_fid.oid;
-    for (const char c : e.path) sink += static_cast<unsigned char>(c);
-    for (const char c : e.name) sink += static_cast<unsigned char>(c);
-  }
-  return sink;
-}
-
-uint64_t TouchView(const wire::EventBatchView& batch) {
-  uint64_t sink = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const wire::EventView e = batch[i];
-    sink += e.record_index() + e.global_seq() + static_cast<uint64_t>(e.type()) +
-            e.flags() + e.trace_id() + e.parent_span() + e.hlc().logical +
-            e.target_fid().oid + e.parent_fid().oid;
-    for (const char c : e.path()) sink += static_cast<unsigned char>(c);
-    for (const char c : e.name()) sink += static_cast<unsigned char>(c);
-  }
-  return sink;
-}
-
-struct CodecTiming {
-  double encode_ns = 0;  // per event
-  double decode_ns = 0;  // per event (decode + read every field)
-};
-
-CodecTiming MeasureCodec(size_t batch_size, uint16_t version) {
-  std::vector<monitor::FsEvent> events;
-  events.reserve(batch_size);
-  for (size_t i = 0; i < batch_size; ++i) events.push_back(CodecSampleEvent(i));
-  CodecTiming timing;
-  uint64_t sink = 0;
-  if (version >= wire::kWireV4) {
-    timing.encode_ns = TimeNsPerOp(batch_size, [&] {
-      sink += wire::EncodeEventBatchV4(events.data(), events.size()).size();
-    });
-    const std::string payload = wire::EncodeEventBatchV4(events.data(), events.size());
-    timing.decode_ns = TimeNsPerOp(batch_size, [&] {
-      const auto batch = wire::EventBatchView::Bind(payload);
-      sink += TouchView(batch.value());
-    });
-  } else {
-    timing.encode_ns = TimeNsPerOp(batch_size, [&] {
-      sink += monitor::EncodeEventBatchLegacy(events, version).size();
-    });
-    const std::string payload = monitor::EncodeEventBatchLegacy(events, version);
-    timing.decode_ns = TimeNsPerOp(batch_size, [&] {
-      const auto decoded = monitor::DecodeEventBatch(payload);
-      sink += TouchDecoded(decoded.value());
-    });
-  }
-  g_codec_sink = sink;
-  return timing;
 }
 
 }  // namespace
@@ -375,10 +260,8 @@ int main(int argc, char** argv) {
   // decode loop saturates at ~1/aggregator_ingest_latency events/s no
   // matter the fan-in, while the parallel ingest pool rides the collector
   // feed rate until the sequencer or the collectors become the limit.
-  // Pinned to wire v3: this sweep (and the window and fleet studies below)
-  // characterize the field-wise decode-bound regime the ingest pool and
-  // the sharded fleet were built for; the v4 sections afterward show the
-  // flat codec removing that regime outright.
+  // FanInDrainRate models the decode-bound regime (35us/event ingest) for
+  // this sweep and the fleet sweep below.
   const std::vector<size_t> fanin_counts{1, 2, 4, 8};
   const std::vector<size_t> ingest_worker_counts{1, 4};
   // rates[c][w] = drain rate with fanin_counts[c] collectors and
@@ -387,7 +270,7 @@ int main(int argc, char** argv) {
   for (const size_t collectors : fanin_counts) {
     std::vector<double> row;
     for (const size_t workers : ingest_worker_counts) {
-      row.push_back(FanInDrainRate(collectors, workers, 1, 0, /*wire_version=*/3));
+      row.push_back(FanInDrainRate(collectors, workers));
     }
     fanin_rates.push_back(row);
   }
@@ -410,33 +293,6 @@ int main(int argc, char** argv) {
       "(aggregator speedup at 4 collectors: %.2fx).\n",
       aggregator_speedup);
 
-  // Ingest-window study (see EXPERIMENTS.md): the reorder buffer bounds
-  // how far the receiver runs ahead of the sequencer, so under wide
-  // fan-in a small window can throttle the decode pool before the
-  // sequencer is actually the limit. Measured at 4 and 8 collectors with
-  // the 4-worker pool.
-  const std::vector<size_t> window_fanins{4, 8};
-  const std::vector<size_t> window_sizes{16, 64};
-  // window_rates[f][w] = drain rate at window_fanins[f] collectors with
-  // an ingest window of window_sizes[w].
-  std::vector<std::vector<double>> window_rates;
-  for (const size_t collectors : window_fanins) {
-    std::vector<double> row;
-    for (const size_t window : window_sizes) {
-      row.push_back(FanInDrainRate(collectors, 4, 1, window, /*wire_version=*/3));
-    }
-    window_rates.push_back(row);
-  }
-  std::vector<std::vector<std::string>> window_rows;
-  window_rows.push_back(
-      {"collectors", "window 16 ev/s", "window 64 ev/s", "64 vs 16"});
-  for (size_t f = 0; f < window_fanins.size(); ++f) {
-    window_rows.push_back({std::to_string(window_fanins[f]),
-                           F0(window_rates[f][0]), F0(window_rates[f][1]),
-                           F2(window_rates[f][1] / window_rates[f][0]) + "x"});
-  }
-  PrintTable("Ingest window under fan-in (4 ingest workers)", window_rows);
-
   // Fleet sweep: the same 8-collector feed against one aggregator vs a
   // 4-shard fleet of the *same per-shard configuration* (the deployment
   // default: serial ingest). Collectors route by mdt % shards, so each
@@ -446,9 +302,9 @@ int main(int argc, char** argv) {
   // reported alongside; on few-core hosts it converges to the machine's
   // real compute ceiling rather than the architecture's.
   const double fleet_1_shard = fanin_rates[3][0];
-  const double fleet_4_shards = FanInDrainRate(8, 1, 4, 0, /*wire_version=*/3);
+  const double fleet_4_shards = FanInDrainRate(8, 1, 4);
   const double fleet_speedup = fleet_4_shards / fleet_1_shard;
-  const double fleet_4_shards_pooled = FanInDrainRate(8, 4, 4, 0, /*wire_version=*/3);
+  const double fleet_4_shards_pooled = FanInDrainRate(8, 4, 4);
   PrintTable(
       "Aggregator fleet at 8-collector fan-in (default serial shards)",
       {{"shards", "drain ev/s", "speedup", "with 4 workers/shard"},
@@ -461,92 +317,9 @@ int main(int argc, char** argv) {
       "store appends run in parallel across the fleet (speedup: %.2fx).\n",
       fleet_speedup);
 
-  // Codec sweep (real wall-clock, not virtual time): field-wise v3 vs the
-  // flat v4 layout, at small/typical/large batch sizes. Decode includes
-  // reading every field and every path byte, so v4's advantage is the
-  // absence of per-field parsing and string allocation — not skipped work.
-  const std::vector<size_t> codec_batches{1, 8, 64};
-  std::vector<CodecTiming> legacy_timings;
-  std::vector<CodecTiming> v4_timings;
-  for (const size_t batch : codec_batches) {
-    legacy_timings.push_back(MeasureCodec(batch, 3));
-    v4_timings.push_back(MeasureCodec(batch, monitor::kWireCodecVersion));
-  }
-  std::vector<std::vector<std::string>> codec_rows;
-  codec_rows.push_back({"batch", "v3 enc ns/ev", "v4 enc ns/ev", "enc speedup",
-                        "v3 dec ns/ev", "v4 dec ns/ev", "dec speedup"});
-  for (size_t i = 0; i < codec_batches.size(); ++i) {
-    codec_rows.push_back(
-        {std::to_string(codec_batches[i]), F0(legacy_timings[i].encode_ns),
-         F0(v4_timings[i].encode_ns),
-         F2(legacy_timings[i].encode_ns / v4_timings[i].encode_ns) + "x",
-         F0(legacy_timings[i].decode_ns), F0(v4_timings[i].decode_ns),
-         F2(legacy_timings[i].decode_ns / v4_timings[i].decode_ns) + "x"});
-  }
-  PrintTable("Wire codec sweep (wall clock; decode = bind + read all fields)",
-             codec_rows);
-  // Headline numbers come from the steady-state batch size (64: collectors
-  // publish 16-64 event chunks when draining a backlog).
-  const size_t headline = codec_batches.size() - 1;
-  const double wire_speedup_decode =
-      legacy_timings[headline].decode_ns / v4_timings[headline].decode_ns;
-  const double wire_speedup_encode =
-      legacy_timings[headline].encode_ns / v4_timings[headline].encode_ns;
-  std::printf(
-      "\nShape: v4 decode is a validate-and-alias pass, so its per-event\n"
-      "cost stays flat while v3 pays per-field parses and three string\n"
-      "allocations per event (decode speedup at batch 64: %.2fx).\n",
-      wire_speedup_decode);
-
-  // The end-to-end payoff: the same 8-collector fan-in drained through
-  // one aggregator, v3 (field-wise decode, 35us/event modeled) vs v4
-  // (bind + stamp-in-place, 6us/event), each with the deployment-default
-  // serial ingest and with the 4-worker decode pool. The gated comparison
-  // is serial-vs-serial: v4 makes one ingest thread ride the collectors'
-  // aggregate feed rate, where v3 needed the pool (or the sharded fleet)
-  // just to climb out of the decode ceiling.
-  const double ingest_drain_legacy = fanin_rates[3][0];
-  const double ingest_drain_legacy_pooled = fanin_rates[3][1];
-  const double ingest_drain_v4 = FanInDrainRate(8, 1);
-  const double ingest_drain_v4_pooled = FanInDrainRate(8, 4);
-  const double ingest_drain_v4_speedup = ingest_drain_v4 / ingest_drain_legacy;
-  PrintTable(
-      "Ingest drain at 8-collector fan-in (1 shard)",
-      {{"wire", "serial ingest ev/s", "4-worker pool ev/s", "serial speedup"},
-       {"v3 (field-wise)", F0(ingest_drain_legacy),
-        F0(ingest_drain_legacy_pooled), "1.00x"},
-       {"v4 (flat)", F0(ingest_drain_v4), F0(ingest_drain_v4_pooled),
-        F2(ingest_drain_v4_speedup) + "x"}});
-  std::printf(
-      "\nShape: with v4 on the wire the aggregator binds and stamps in\n"
-      "place instead of decoding, so a single serial ingest thread drains\n"
-      "at the collectors' aggregate feed rate (%.2fx over serial v3) and\n"
-      "the decode pool no longer moves the number.\n",
-      ingest_drain_v4_speedup);
-
   MetricSet metrics;
-  for (size_t i = 0; i < codec_batches.size(); ++i) {
-    const std::string b = std::to_string(codec_batches[i]);
-    metrics.Set("wire_v3_encode_ns_b" + b, legacy_timings[i].encode_ns);
-    metrics.Set("wire_v4_encode_ns_b" + b, v4_timings[i].encode_ns);
-    metrics.Set("wire_v3_decode_ns_b" + b, legacy_timings[i].decode_ns);
-    metrics.Set("wire_v4_decode_ns_b" + b, v4_timings[i].decode_ns);
-  }
-  metrics.Set("wire_speedup_decode", wire_speedup_decode);
-  metrics.Set("wire_speedup_encode", wire_speedup_encode);
-  metrics.Set("ingest_drain_v4", ingest_drain_v4);
-  metrics.Set("ingest_drain_v4_pooled", ingest_drain_v4_pooled);
-  metrics.Set("ingest_drain_legacy", ingest_drain_legacy);
-  metrics.Set("ingest_drain_legacy_pooled", ingest_drain_legacy_pooled);
-  metrics.Set("ingest_drain_v4_speedup", ingest_drain_v4_speedup);
-  for (size_t f = 0; f < window_fanins.size(); ++f) {
-    for (size_t w = 0; w < window_sizes.size(); ++w) {
-      metrics.Set("fanin_" + std::to_string(window_fanins[f]) + "c_window_" +
-                      std::to_string(window_sizes[w]) + "_drain_rate",
-                  window_rates[f][w]);
-    }
-  }
-  metrics.Set("fleet_8c_1_shard_drain_rate", fleet_1_shard);
+  // The 8-collector, 1-worker, 1-shard drain is the fleet sweep's baseline
+  // too; it is emitted once, as fanin_8c_workers_1_drain_rate.
   metrics.Set("fleet_8c_4_shards_drain_rate", fleet_4_shards);
   metrics.Set("fleet_8c_4_shards_pooled_drain_rate", fleet_4_shards_pooled);
   metrics.Set("fleet_speedup_4_shards", fleet_speedup);

@@ -32,8 +32,8 @@ struct HlcStamp {
   // Lexicographic (wall_ns, logical, origin): the fleet's total order.
   friend constexpr auto operator<=>(const HlcStamp&, const HlcStamp&) = default;
 
-  // An all-zero stamp marks an event that predates HLC stamping (codec v2
-  // payloads, events born outside an aggregator shard).
+  // An all-zero stamp marks an event that predates HLC stamping (one born
+  // outside an aggregator shard, not yet sequenced).
   [[nodiscard]] constexpr bool IsZero() const noexcept {
     return wall_ns == 0 && logical == 0 && origin == 0;
   }

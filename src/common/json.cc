@@ -233,6 +233,11 @@ double Value::AsNumber() const noexcept {
 
 int64_t Value::AsInt() const noexcept {
   assert(is_number());
+  // Saturating: an out-of-range number from hostile input (1e999 parses as
+  // infinity) must not reach the undefined double -> int64 conversion.
+  if (std::isnan(number_)) return 0;
+  if (number_ >= 0x1p63) return INT64_MAX;
+  if (number_ < -0x1p63) return INT64_MIN;
   return static_cast<int64_t>(number_);
 }
 

@@ -51,13 +51,10 @@ struct TestbedProfile {
   VirtualDuration changelog_read_per_record{};   // marginal cost per record read
   VirtualDuration changelog_clear_latency{};     // cost of changelog_clear
   VirtualDuration collector_publish_latency{};   // serialize + send one message
-  VirtualDuration aggregator_ingest_latency{};   // deserialize + enqueue one event
-  // Per-event ingest cost when the message arrived in the flat v4 wire
-  // format: validation is a header/offset-table scan and no per-field
-  // copies happen until the store boundary, so the cost drops by roughly
-  // the decode speedup measured by bench_throughput's codec sweep (see
-  // EXPERIMENTS.md "Wire codec sweep").
-  VirtualDuration aggregator_ingest_latency_v4{};
+  // Per-event ingest cost of one collector message: validating the flat
+  // wire batch in place (a header/offset-table scan) and enqueueing it. No
+  // per-field copies happen until the store boundary.
+  VirtualDuration aggregator_ingest_latency{};
 
   // Modeled *CPU* cost per event for Table 3 style accounting (most of the
   // latency figures above are I/O or RPC wait, not CPU).

@@ -56,9 +56,12 @@ class AggregatorSupervisor {
   // checkpoint and any already-queued hand-offs survive untouched.
   void BeginOutage();
   void EndOutage();  // restart happens at the next health check
+  // Lock-free: shard breakers call this as their down-signal from inside
+  // metrics scrapes, which hold the registry lock, while Start and restarts
+  // register metrics under mutex_ — taking mutex_ here would invert that
+  // lock order.
   [[nodiscard]] bool InOutage() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return outage_;
+    return outage_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] uint64_t crashes() const noexcept { return crashes_->Get(); }
@@ -99,7 +102,8 @@ class AggregatorSupervisor {
 
   mutable std::mutex mutex_;
   std::unique_ptr<Aggregator> aggregator_;  // null while "down"
-  bool outage_ = false;                     // declared outage: no restarts
+  // Declared outage: no restarts. Written under mutex_, read lock-free.
+  std::atomic<bool> outage_{false};
   AggregatorStats totals_;                  // from dead incarnations
   Rng rng_;
   // Registered into aggregator_config_.metrics (or a private registry).

@@ -82,12 +82,6 @@ struct CollectorConfig {
   size_t cache_capacity = 16384;  // parent-path LRU entries (cached modes)
   size_t cache_shards = 8;        // lock shards of the parent-path cache
   size_t publish_batch = 16;      // events per msgq message
-  // Wire codec version this collector puts on the wire. The default (flat
-  // v4) encodes straight from the resolved slice — one exact-size
-  // allocation per message, no per-chunk FsEvent copy. Mixed-version
-  // fleet tests and the codec ablation dial this down to 1-3, which keeps
-  // the historic copy-then-encode path.
-  uint16_t wire_version = kWireCodecVersion;
   bool purge = true;              // changelog_clear consumed records
   // Resolution pipeline (Start() mode only; DrainOnce stays serial).
   // resolver_workers is the size of the fid2path worker pool;

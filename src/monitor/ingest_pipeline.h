@@ -83,18 +83,15 @@ class IngestPipeline {
 
  private:
   // One collector message after the decode stage, keyed by ticket in the
-  // sequencer's reorder buffer. `ok` is false for malformed or zero-event
-  // payloads (counted as decode errors when the ticket is released, so
-  // the error counter stays in arrival order too).
-  //
-  // A v4 message never decodes into FsEvents here: the validated wire
-  // bytes travel in `v4` (mutable — the sequencer stamps global_seq / HLC
-  // straight into the fixed-offset fields), and `events` stays empty.
+  // sequencer's reorder buffer. A message never decodes into FsEvents
+  // here: the validated wire bytes travel in `payload` (mutable — the
+  // sequencer stamps global_seq / HLC straight into the fixed-offset
+  // fields). `count` == 0 marks a malformed or zero-event payload, counted
+  // as a decode error when the ticket is released, so the error counter
+  // stays in arrival order too.
   struct DecodedMessage {
-    bool ok = false;
-    std::vector<FsEvent> events;  // legacy (v1-v3) messages only
-    std::string v4;               // flat v4 payload; empty on the legacy path
-    uint32_t v4_count = 0;
+    std::string payload;          // flat v4 batch; empty when malformed
+    uint32_t count = 0;           // events in `payload`
     VirtualTime last_time{};      // newest event birth time in the message
     VirtualTime decode_start{};
     VirtualTime decode_end{};

@@ -85,43 +85,26 @@ void ServePlane::PublishLoop() {
       msgq::Message message(batch.Topic(), payload);
       const VirtualTime now = authority_->Now();
       // Per-event bookkeeping (delivery latency, trace spans, watermark)
-      // reads through the flat view when the payload is v4, so publishing
-      // never forces a lazily-validated batch to materialize owning
-      // FsEvents; only legacy payloads fall back to batch.events().
+      // reads through the flat view, so publishing never forces a lazily
+      // validated batch to materialize owning FsEvents. Bind cannot fail on
+      // bytes payload() produced; if it somehow did, the batch is still
+      // published, just without per-event bookkeeping.
       const auto view = wire::EventBatchView::Bind(*payload);
-      if (view.ok()) {
-        const size_t count = view->size();
+      const size_t count = view.ok() ? view->size() : 0;
+      for (size_t i = 0; i < count; ++i) {
+        instruments_.delivery_latency->Record(now - view->time(i));
+      }
+      pub_->Publish(std::move(message));
+      if (tracer_ != nullptr) {
         for (size_t i = 0; i < count; ++i) {
-          instruments_.delivery_latency->Record(now - view->time(i));
+          if (view->trace_id(i) == 0) continue;
+          tracer_->Record(view->trace_id(i), view->parent_span(i),
+                          trace::kAggregatorPublish, "aggregator", now,
+                          authority_->Now());
         }
-        pub_->Publish(std::move(message));
-        if (tracer_ != nullptr) {
-          for (size_t i = 0; i < count; ++i) {
-            if (view->trace_id(i) == 0) continue;
-            tracer_->Record(view->trace_id(i), view->parent_span(i),
-                            trace::kAggregatorPublish, "aggregator", now,
-                            authority_->Now());
-          }
-        }
-        if (wm_publish_ != nullptr && count > 0) {
-          wm_publish_->Advance(view->time(count - 1));
-        }
-      } else {
-        for (const FsEvent& event : batch.events()) {
-          instruments_.delivery_latency->Record(now - event.time);
-        }
-        pub_->Publish(std::move(message));
-        if (tracer_ != nullptr) {
-          for (const FsEvent& event : batch.events()) {
-            if (event.trace_id == 0) continue;
-            tracer_->Record(event.trace_id, event.parent_span,
-                            trace::kAggregatorPublish, "aggregator", now,
-                            authority_->Now());
-          }
-        }
-        if (wm_publish_ != nullptr && !batch.events().empty()) {
-          wm_publish_->Advance(batch.events().back().time);
-        }
+      }
+      if (wm_publish_ != nullptr && count > 0) {
+        wm_publish_->Advance(view->time(count - 1));
       }
       instruments_.published->Add(batch.size());
       instruments_.batches_published->Add();

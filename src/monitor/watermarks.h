@@ -2,7 +2,7 @@
 //
 // Every pipeline stage that finishes handling an event advances a
 // watermark with that event's *birth* time (FsEvent::time, the changelog
-// timestamp riding codec v3 with the HLC stamp): "this stage has fully
+// timestamp riding the wire beside the HLC stamp): "this stage has fully
 // processed the stream up to here". The registry derives freshness lag
 // from the spread of those watermarks:
 //

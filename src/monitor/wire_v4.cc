@@ -1,5 +1,6 @@
 #include "monitor/wire_v4.h"
 
+#include "common/strings.h"
 #include "lustre/changelog.h"
 
 namespace sdci::monitor::wire {
@@ -95,7 +96,8 @@ Result<EventBatchView> EventBatchView::Bind(std::string_view payload) {
   BatchHeaderV4 header;
   std::memcpy(&header, payload.data(), kHeaderSize);
   if (header.version != kWireV4) {
-    return InvalidArgumentError("not a v4 batch");
+    return InvalidArgumentError(
+        strings::Format("unsupported wire version {}", header.version));
   }
   if (header.header_size != kHeaderSize || header.magic != kWireV4Magic ||
       header.flags != 0) {

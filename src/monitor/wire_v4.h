@@ -1,9 +1,10 @@
-// Flat wire format v4: the zero-copy event batch layout.
+// Flat wire format v4: the zero-copy event batch layout, and the only
+// format on the wire — a payload whose version word is anything but 4
+// fails validation.
 //
-// Unlike v1-v3 (field-wise streams decoded into owning FsEvents), a v4
-// payload is readable in place: a fixed-size batch header, `count` packed
-// fixed-width event records, a cumulative string-offset table, then one
-// string heap. Decoding is a pointer-cast-plus-validate — an O(count)
+// A v4 payload is readable in place: a fixed-size batch header, `count`
+// packed fixed-width event records, a cumulative string-offset table, then
+// one string heap. Decoding is a pointer-cast-plus-validate — an O(count)
 // scan of the offset table and type bytes, no allocations — after which
 // every field is an O(1) read through EventBatchView / EventView, with
 // paths as string_views aliasing the payload bytes (which msgq::Message
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "common/hlc.h"
-#include "common/serde.h"
 #include "common/status.h"
 #include "monitor/event.h"
 
@@ -48,6 +48,18 @@ namespace sdci::monitor::wire {
 
 static_assert(std::endian::native == std::endian::little,
               "wire v4 is little-endian on the wire and in memory");
+
+// Raw little-endian loads/stores for the cast-in-place layout. memcpy-based
+// so they are alignment-safe and UBSan-clean at any offset; on
+// little-endian targets they compile to single moves.
+inline uint32_t LoadU32Le(const void* p) noexcept {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void StoreU32Le(void* p, uint32_t v) noexcept { std::memcpy(p, &v, sizeof(v)); }
+inline void StoreU64Le(void* p, uint64_t v) noexcept { std::memcpy(p, &v, sizeof(v)); }
+inline void StoreI64Le(void* p, int64_t v) noexcept { std::memcpy(p, &v, sizeof(v)); }
 
 constexpr uint16_t kWireV4 = 4;
 // "SDC1", little-endian. Cheap armor against casting a non-batch payload.
@@ -58,7 +70,7 @@ constexpr uint32_t kWireV4Magic = 0x31434453u;
 // to these types is well-defined, and member reads compile to
 // unaligned-safe loads (UBSan-clean regardless of where the payload sits).
 struct BatchHeaderV4 {
-  uint16_t version;      // == kWireV4 (first u16: shared with v1-v3 dispatch)
+  uint16_t version;      // == kWireV4
   uint16_t header_size;  // == sizeof(BatchHeaderV4)
   uint32_t count;        // events in the batch
   uint32_t events_off;   // == header_size
@@ -231,14 +243,5 @@ class MutableBatchV4 {
   }
   char* base_;
 };
-
-// True when `payload` carries the v4 version word (dispatch peek only —
-// says nothing about structural validity).
-[[nodiscard]] inline bool LooksLikeV4(std::string_view payload) noexcept {
-  if (payload.size() < 2) return false;
-  uint16_t version;
-  std::memcpy(&version, payload.data(), sizeof(version));
-  return version == kWireV4;
-}
 
 }  // namespace sdci::monitor::wire

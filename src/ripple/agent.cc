@@ -208,10 +208,12 @@ void Agent::DeliverEvent(const monitor::FsEvent& event) {
 }
 
 void Agent::DeliverBatch(const monitor::EventBatch& batch) {
-  // v4 batches are filtered in place: paths probe the index as
-  // string_views into the wire bytes, and only matching (or traced)
-  // events ever materialize an FsEvent. Legacy batches fall back to the
-  // per-event path over the decoded events.
+  // Batches with wire bytes (everything off a socket) are filtered in
+  // place: paths probe the index as string_views into the wire bytes, and
+  // only matching (or traced) events ever materialize an FsEvent.
+  // Encode-side batches that were never serialized — history backfill
+  // pages, the recovering subscriber's de-duplicated re-batches — take the
+  // per-event path over their owning events.
   if (const auto payload = batch.FlatPayloadV4()) {
     auto view = monitor::wire::EventBatchView::Bind(*payload);
     if (view.ok()) {

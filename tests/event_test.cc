@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <utility>
 
+#include "monitor/aggregator.h"
+#include "monitor/consumer.h"
 #include "monitor/wire_v4.h"
 
 namespace sdci::monitor {
@@ -78,71 +82,98 @@ TEST(EventCodec, RejectsBadVersionAndType) {
   EXPECT_FALSE(DecodeEventBatch(payload).ok());
 }
 
-TEST(EventCodec, LegacyVersionsStillDecode) {
-  // A mixed-version fleet: not-yet-upgraded collectors put v1-v3 on the
-  // wire and the aggregator must decode every one of them. v2 added the
-  // trace context, v3 the HLC stamp; fields a version predates decode as
-  // their zero values.
-  std::vector<FsEvent> batch{SampleEvent(1), SampleEvent(2)};
-  batch[1].type = lustre::ChangeLogType::kRename;
-  batch[1].source_path = "/proj/old/scan.h5";
-  batch[0].trace_id = 0xabcdef01;
-  batch[0].parent_span = 0x55;
-  batch[0].hlc = HlcStamp{123456789, 7, 3};
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    const std::string payload = EncodeEventBatchLegacy(batch, version);
-    auto decoded = DecodeEventBatch(payload);
-    ASSERT_TRUE(decoded.ok()) << "v" << version << ": "
-                              << decoded.status().ToString();
-    ASSERT_EQ(decoded->size(), 2u) << "v" << version;
-    for (size_t i = 0; i < 2; ++i) ExpectEventsEqual((*decoded)[i], batch[i]);
-    EXPECT_EQ((*decoded)[0].trace_id, version >= 2 ? batch[0].trace_id : 0u);
-    EXPECT_EQ((*decoded)[0].parent_span,
-              version >= 2 ? batch[0].parent_span : 0u);
-    EXPECT_EQ((*decoded)[0].hlc, version >= 3 ? batch[0].hlc : HlcStamp{});
+// One event laid out the way the retired field-wise encoders put it on
+// the wire: u16 version, u32 count, then fixed little-endian fields with
+// u32-length-prefixed strings; v2 appended the trace ids, v3 the HLC
+// stamp. A not-yet-upgraded collector would still send exactly these
+// bytes.
+std::string RetiredFieldwisePayload(uint16_t version) {
+  const FsEvent event = SampleEvent();
+  std::string out;
+  const auto put = [&out](auto value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const auto put_string = [&](const std::string& text) {
+    put(static_cast<uint32_t>(text.size()));
+    out += text;
+  };
+  put(version);
+  put(uint32_t{1});
+  put(static_cast<uint32_t>(event.mdt_index));
+  put(event.record_index);
+  put(event.global_seq);
+  put(static_cast<uint8_t>(event.type));
+  put(static_cast<int64_t>(event.time.count()));
+  put(event.flags);
+  put_string(event.path);
+  put_string(event.name);
+  put_string(event.source_path);
+  for (const lustre::Fid& fid : {event.target_fid, event.parent_fid}) {
+    put(fid.seq);
+    put(fid.oid);
+    put(fid.ver);
   }
+  if (version >= 2) {
+    put(event.trace_id);
+    put(event.parent_span);
+  }
+  if (version >= 3) {
+    put(event.hlc.wall_ns);
+    put(event.hlc.logical);
+    put(event.hlc.origin);
+  }
+  return out;
 }
 
-TEST(EventCodec, CountGuardAcceptsDenseMinimalBatches) {
-  // Regression for the count-sanity guard: a batch of all-empty-string
-  // events is the densest legal encoding. The old guard divided by a loose
-  // flat constant; the guard must accept exactly this batch at every
-  // version (the divisor is now derived from the real fixed-field sizes).
-  std::vector<FsEvent> batch(5);
-  for (size_t i = 0; i < batch.size(); ++i) batch[i].global_seq = i + 1;
+// Payloads whose version word is anything but 4: the field-wise v1-v3
+// streams and a well-formed v4 body stamped with a future version 5.
+std::vector<std::pair<uint16_t, std::string>> RetiredPayloads() {
+  std::vector<std::pair<uint16_t, std::string>> out;
   for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    const std::string payload = EncodeEventBatchLegacy(batch, version);
-    // The payload is exactly header + count * min: one byte fewer and the
-    // same count must be rejected, which pins the divisor to the true
-    // per-version minimum (no slack in either direction).
-    EXPECT_EQ(payload.size(), 2 + 4 + batch.size() * MinEncodedEventSize(version))
-        << "v" << version;
-    auto decoded = DecodeEventBatch(payload);
-    ASSERT_TRUE(decoded.ok()) << "v" << version << ": "
-                              << decoded.status().ToString();
-    EXPECT_EQ(decoded->size(), batch.size());
+    out.emplace_back(version, RetiredFieldwisePayload(version));
   }
-  auto v4 = DecodeEventBatch(EncodeEventBatch(batch));
-  ASSERT_TRUE(v4.ok());
-  EXPECT_EQ(v4->size(), batch.size());
+  std::string future = EncodeEventBatch({SampleEvent()});
+  const uint16_t five = 5;
+  std::memcpy(future.data(), &five, sizeof(five));
+  out.emplace_back(five, std::move(future));
+  return out;
 }
 
-TEST(EventCodec, CountGuardRejectsHostileCountWithoutOverReserve) {
-  // A hostile count claiming more events than the remaining bytes could
-  // possibly hold must be rejected up front (before any reserve).
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    std::string payload = EncodeEventBatchLegacy({SampleEvent()}, version);
-    // Count field: u32 at byte 2. 0xFFFFFFFF events cannot fit.
-    payload[2] = '\xff';
-    payload[3] = '\xff';
-    payload[4] = '\xff';
-    payload[5] = '\xff';
-    EXPECT_FALSE(DecodeEventBatch(payload).ok()) << "v" << version;
-    // Boundary: claim exactly one event more than the bytes support.
-    payload = EncodeEventBatchLegacy({SampleEvent()}, version);
-    payload[2] = 2;
-    EXPECT_FALSE(DecodeEventBatch(payload).ok()) << "v" << version;
+TEST(EventCodec, RejectsRetiredWireVersions) {
+  for (const auto& [version, payload] : RetiredPayloads()) {
+    auto decoded = DecodeEventBatch(payload);
+    ASSERT_FALSE(decoded.ok()) << "v" << version;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << "v" << version;
+    auto batch = EventBatch::FromPayload(payload);
+    ASSERT_FALSE(batch.ok()) << "v" << version;
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument) << "v" << version;
   }
+
+  // An aggregator shard counts each such message as a decode error and
+  // publishes nothing for it: the only message on the public stream is
+  // the valid v4 batch sent after them.
+  TimeAuthority authority(2000.0);
+  msgq::Context context;
+  AggregatorConfig config;
+  const auto retired = RetiredPayloads();
+  config.expected_decode_errors = retired.size();
+  Aggregator aggregator(lustre::TestbedProfile::Test(), authority, context, config);
+  EventSubscriber consumer(context, config.publish_endpoint);
+  auto pub = context.CreatePub(config.collect_endpoint);
+  aggregator.Start();
+  for (const auto& [version, payload] : retired) {
+    pub->Publish(msgq::Message("collect.mdt0", payload));
+  }
+  pub->Publish(msgq::Message("collect.mdt0", EncodeEventBatch({SampleEvent()})));
+  auto delivered = consumer.NextBatchFor(std::chrono::seconds(5));
+  ASSERT_TRUE(delivered.ok()) << delivered.status().ToString();
+  ASSERT_EQ(delivered->size(), 1u);
+  EXPECT_EQ(delivered->events()[0].path, SampleEvent().path);
+  aggregator.Stop();
+  const auto stats = aggregator.Stats();
+  EXPECT_EQ(stats.decode_errors, retired.size());
+  EXPECT_EQ(stats.batches_published, 1u);
+  EXPECT_EQ(stats.published, 1u);
 }
 
 TEST(EventJson, RoundTrip) {

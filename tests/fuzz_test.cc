@@ -3,9 +3,15 @@
 // so each suite instance explores a different corner of input space.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <iterator>
+#include <thread>
+
 #include "common/json.h"
 #include "common/rng.h"
 #include "lustre/fid.h"
+#include "monitor/aggregator.h"
+#include "monitor/consumer.h"
 #include "monitor/event.h"
 #include "lustre/changelog.h"
 #include "ripple/rule.h"
@@ -102,59 +108,60 @@ monitor::FsEvent RandomEvent(Rng& rng) {
   return event;
 }
 
-TEST_P(FuzzTest, MixedVersionFleetRoundTripsOrRejectsCleanly) {
-  // The rolling-upgrade property: a decoder facing all four wire versions
-  // at once (one not-yet-upgraded collector per version) round-trips every
-  // well-formed payload exactly, regardless of version interleaving.
+void ExpectSameEvent(const monitor::FsEvent& got, const monitor::FsEvent& want) {
+  EXPECT_EQ(got.mdt_index, want.mdt_index);
+  EXPECT_EQ(got.record_index, want.record_index);
+  EXPECT_EQ(got.global_seq, want.global_seq);
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.flags, want.flags);
+  EXPECT_EQ(got.path, want.path);
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.source_path, want.source_path);
+  EXPECT_EQ(got.target_fid, want.target_fid);
+  EXPECT_EQ(got.parent_fid, want.parent_fid);
+  EXPECT_EQ(got.trace_id, want.trace_id);
+  EXPECT_EQ(got.parent_span, want.parent_span);
+  EXPECT_EQ(got.hlc, want.hlc);
+}
+
+TEST_P(FuzzTest, V4RandomBatchesRoundTripExactly) {
+  // Random batches (random strings, fids, trace context and HLC stamps)
+  // survive encode -> decode with every field intact, both through the
+  // eager decoder and through a lazily-validated EventBatch.
   Rng rng(GetParam() ^ 0x4F1E);
   for (int round = 0; round < 200; ++round) {
     std::vector<monitor::FsEvent> events;
     const size_t count = 1 + rng.NextBelow(16);
     for (size_t i = 0; i < count; ++i) events.push_back(RandomEvent(rng));
-    const uint16_t version = static_cast<uint16_t>(1 + rng.NextBelow(4));
-    const std::string payload =
-        version >= monitor::kWireCodecVersion
-            ? monitor::EncodeEventBatch(events)
-            : monitor::EncodeEventBatchLegacy(events, version);
+    const std::string payload = monitor::EncodeEventBatch(events);
     auto decoded = monitor::DecodeEventBatch(payload);
-    ASSERT_TRUE(decoded.ok()) << "v" << version << ": "
-                              << decoded.status().ToString();
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ASSERT_EQ(decoded->size(), events.size());
+    auto batch = monitor::EventBatch::FromPayload(payload);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ((*decoded)[i].record_index, events[i].record_index);
-      EXPECT_EQ((*decoded)[i].type, events[i].type);
-      EXPECT_EQ((*decoded)[i].path, events[i].path);
-      EXPECT_EQ((*decoded)[i].source_path, events[i].source_path);
-      if (version >= 2) {
-        EXPECT_EQ((*decoded)[i].trace_id, events[i].trace_id);
-      }
-      if (version >= 3) {
-        EXPECT_EQ((*decoded)[i].hlc, events[i].hlc);
-      }
+      ExpectSameEvent((*decoded)[i], events[i]);
+      ExpectSameEvent(batch->events()[i], events[i]);
     }
   }
 }
 
-TEST_P(FuzzTest, AllVersionsRejectTruncationEverywhere) {
-  // Every strict prefix of a valid payload must be rejected — at every
-  // version, at every cut point (the v4 validator must catch cuts inside
-  // the header, the record block, the offset table and the string heap).
+TEST_P(FuzzTest, V4RejectsTruncationEverywhere) {
+  // Every strict prefix of a valid payload must be rejected: the validator
+  // must catch cuts inside the header, the record block, the offset table
+  // and the string heap.
   Rng rng(GetParam() ^ 0xCC7);
   std::vector<monitor::FsEvent> events;
   for (size_t i = 0; i < 3; ++i) events.push_back(RandomEvent(rng));
   events[0].path = "/some/realistic/path.dat";  // non-empty heap
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3},
-                                 monitor::kWireCodecVersion}) {
-    const std::string payload =
-        version >= monitor::kWireCodecVersion
-            ? monitor::EncodeEventBatch(events)
-            : monitor::EncodeEventBatchLegacy(events, version);
-    for (int i = 0; i < 300; ++i) {
-      const size_t cut = rng.NextBelow(payload.size());
-      EXPECT_FALSE(
-          monitor::DecodeEventBatch(std::string_view(payload).substr(0, cut)).ok())
-          << "v" << version << " cut=" << cut;
-    }
+  const std::string payload = monitor::EncodeEventBatch(events);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    const std::string_view prefix = std::string_view(payload).substr(0, cut);
+    EXPECT_FALSE(monitor::DecodeEventBatch(prefix).ok()) << "cut=" << cut;
+    EXPECT_FALSE(monitor::EventBatch::FromPayload(std::string(prefix)).ok())
+        << "cut=" << cut;
   }
 }
 
@@ -294,6 +301,68 @@ TEST_P(FuzzTest, ChangeLogDumpParserNeverCrashes) {
     (void)lustre::ChangeLogRecord::ParseDumpLine(text);
   }
   SUCCEED();
+}
+
+TEST_P(FuzzTest, HistoryApiRepliesOncePerHostileRequest) {
+  // The REQ/REP history and stats parser of a live shard faces random
+  // bytes and mutated valid queries. Every request must be answered
+  // exactly once (a timeout means the api thread died or dropped it) with
+  // one of the three reply kinds, and a well-formed query must still be
+  // served afterwards.
+  TimeAuthority authority(2000.0);
+  msgq::Context context;
+  monitor::AggregatorConfig config;
+  config.store_capacity = 64;
+  monitor::Aggregator aggregator(lustre::TestbedProfile::Test(), authority, context,
+                                 config);
+  auto pub = context.CreatePub(config.collect_endpoint);
+  aggregator.Start();
+  Rng rng(GetParam() ^ 0xA91);
+  constexpr size_t kEvents = 12;
+  std::vector<monitor::FsEvent> events;
+  for (size_t i = 0; i < kEvents; ++i) events.push_back(RandomEvent(rng));
+  pub->Publish(msgq::Message("collect.mdt0", monitor::EncodeEventBatch(events)));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (aggregator.Stats().stored < kEvents &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(aggregator.Stats().stored, kEvents);
+
+  auto req = context.CreateReq(config.api_endpoint);
+  const auto ask = [&](std::string body) {
+    auto reply = req->RequestReply(msgq::Message("api.query", std::move(body)),
+                                   std::chrono::seconds(5));
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    const std::string& topic = reply->topic;
+    EXPECT_TRUE(topic == "api.error" || topic == "api.reply" || topic == "api.stats")
+        << topic;
+    EXPECT_TRUE(json::Parse(reply->bytes()).ok()) << reply->bytes();
+  };
+  for (int i = 0; i < 300; ++i) ask(RandomBytes(rng, 120));
+  static const std::string kValid[] = {
+      R"({"op":"query","from_seq":1,"max":16})",
+      R"({"from_time_ns":0,"to_time_ns":4000000000,"max":8})",
+      R"({"op":"stats"})",
+  };
+  static constexpr char kMutations[] = "{}[]\",:-+.eE0123456789xop";
+  for (int i = 0; i < 300; ++i) {
+    std::string body = kValid[rng.NextBelow(std::size(kValid))];
+    for (size_t flips = 1 + rng.NextBelow(3); flips > 0; --flips) {
+      body[rng.NextBelow(body.size())] = kMutations[rng.NextBelow(sizeof(kMutations) - 1)];
+    }
+    ask(std::move(body));
+  }
+
+  monitor::HistoryClient history(context, config.api_endpoint);
+  auto page = history.Fetch(1, 100);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  ASSERT_EQ(page->events.size(), kEvents);
+  for (size_t i = 0; i < kEvents; ++i) {
+    EXPECT_EQ(page->events[i].global_seq, i + 1);
+    EXPECT_EQ(page->events[i].path, events[i].path);
+  }
+  aggregator.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Values(1, 2, 3, 4, 5));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "monitor/event.h"
 
 namespace sdci::monitor::wire {
@@ -159,14 +161,15 @@ TEST(WireV4, BindRejectsStructuralCorruption) {
   bad = good;
   bad[4] = 2;
   EXPECT_FALSE(EventBatchView::Bind(bad).ok());
-}
-
-TEST(WireV4, LooksLikeV4PeeksVersionOnly) {
-  const FsEvent event = SampleEvent(1);
-  EXPECT_TRUE(LooksLikeV4(EncodeEventBatchV4(&event, 1)));
-  EXPECT_FALSE(LooksLikeV4(EncodeEventBatchLegacy({event}, 3)));
-  EXPECT_FALSE(LooksLikeV4(""));
-  EXPECT_FALSE(LooksLikeV4("\x04"));  // one byte is not a version field
+  // Hostile count: 0xFFFFFFFF events cannot fit. The section offsets are
+  // checked in u64 arithmetic before anything is sized from the count, so
+  // this fails without overflow or an allocation.
+  bad = good;
+  std::memset(bad.data() + 4, 0xff, 4);
+  auto hostile = EventBatchView::Bind(bad);
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(DecodeEventBatch(bad).ok());
 }
 
 }  // namespace
