@@ -42,7 +42,7 @@ monitor::FsEvent MakeEvent(uint64_t i) {
   event.type = lustre::ChangeLogType::kCreate;
   event.time = Micros(static_cast<int64_t>(i));
   event.path = "/bench/f" + std::to_string(i);
-  event.name = "f" + std::to_string(i);
+  event.name = strings::Format("f{}", i);
   return event;
 }
 

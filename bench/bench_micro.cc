@@ -15,6 +15,7 @@
 #include "common/queue.h"
 #include "common/rng.h"
 #include "common/spsc.h"
+#include "common/strings.h"
 #include "lustre/changelog.h"
 #include "lustre/fid.h"
 #include "lustre/filesystem.h"
@@ -92,7 +93,7 @@ void BM_RuleIndexProbe100k(benchmark::State& state) {
   ripple::RuleIndex::Builder builder;
   for (uint64_t i = 0; i < 100000; ++i) {
     ripple::Rule rule;
-    rule.id = "r" + std::to_string(10000000 + i);
+    rule.id = strings::Format("r{}", 10000000 + i);
     const std::string dir = "/tenants/t" + std::to_string(100000 + i / 4);
     const char* ext = (i % 2) != 0 ? "h5" : "tif";
     rule.trigger.path_glob =

@@ -15,9 +15,19 @@
 //                                         per event: O(matching-rules),
 //                                         not O(rules))
 //
+// The churn row prices rule updates through the control plane: 1000
+// rules registered through CloudService::RegisterRule with one Agent
+// attached, then 200 register+remove pairs. Every update rebuilds and
+// republishes both the cloud's and the agent's snapshot, so
+// churn_rss_mb_per_100_updates (RSS growth per 100 pairs) shows whether
+// replaced snapshots are freed, and churn_update_ms_p50 what one
+// RegisterRule/RemoveRule costs.
+//
 // Flags: --quick (1k/10k only, no gates), --json out.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +37,8 @@
 #include "common/strings.h"
 #include "monitor/event.h"
 #include "monitor/wire_v4.h"
+#include "ripple/agent.h"
+#include "ripple/cloud.h"
 #include "ripple/rule.h"
 #include "ripple/rule_index.h"
 
@@ -174,6 +186,70 @@ double TimeLinear(const std::vector<Rule>& rules,
   return best * 1e6 / static_cast<double>(events.size());
 }
 
+// Resident set size of this process, from /proc/self/status.
+double RssMb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::atof(line.c_str() + 6) / 1024.0;
+  }
+  return 0;
+}
+
+Rule ChurnRule(const std::string& id, const std::string& tenant, const std::string& glob) {
+  Rule rule;
+  rule.id = id;
+  rule.tenant = tenant;
+  rule.trigger.event_mask = ripple::kCreated;
+  rule.trigger.path_glob = Glob(glob);
+  rule.action.type = ripple::ActionType::kLocalCommand;
+  rule.action.agent = "site";
+  json::Object params;
+  params["command"] = json::Value("record {path}");
+  rule.action.params = json::Value(std::move(params));
+  rule.watch_agent = "site";
+  return rule;
+}
+
+struct ChurnPoint {
+  double rss_mb_per_100_updates = 0;
+  double update_ms_p50 = 0;
+};
+
+ChurnPoint MeasureChurn() {
+  constexpr size_t kInstalled = 1000;
+  constexpr size_t kPairs = 200;
+  Env env(lustre::TestbedProfile::Test(), 1.0);
+  ripple::CloudService cloud(env.authority);
+  ripple::EndpointRegistry endpoints;
+  ripple::AgentConfig agent_config;
+  agent_config.name = "site";
+  ripple::Agent agent(agent_config, env.fs, cloud, endpoints, env.authority);
+  for (size_t k = 0; k < kInstalled; ++k) {
+    (void)cloud.RegisterRule(ChurnRule(strings::Format("r{}", k),
+                                       strings::Format("t{}", k % 10),
+                                       strings::Format("/bench/d{}/m_*", k)));
+  }
+  std::vector<double> update_ms;
+  const double rss0 = RssMb();
+  for (size_t i = 0; i < kPairs; ++i) {
+    const std::string id = strings::Format("churn-{}", i);
+    const Rule rule = ChurnRule(id, "churn", strings::Format("/bench/churn/u{}/**", i));
+    double start = NowMs();
+    (void)cloud.RegisterRule(rule);
+    update_ms.push_back(NowMs() - start);
+    start = NowMs();
+    (void)cloud.RemoveRule(id);
+    update_ms.push_back(NowMs() - start);
+  }
+  ChurnPoint point;
+  point.rss_mb_per_100_updates = (RssMb() - rss0) * 100.0 / static_cast<double>(kPairs);
+  std::nth_element(update_ms.begin(), update_ms.begin() + update_ms.size() / 2,
+                   update_ms.end());
+  point.update_ms_p50 = update_ms[update_ms.size() / 2];
+  return point;
+}
+
 }  // namespace
 }  // namespace sdci::bench
 
@@ -259,6 +335,13 @@ int main(int argc, char** argv) {
   }
 
   PrintTable("Rule dispatch: compiled index sweep (batched zero-copy)", table);
+
+  const ChurnPoint churn = MeasureChurn();
+  metrics.Set("churn_rss_mb_per_100_updates", churn.rss_mb_per_100_updates);
+  metrics.Set("churn_update_ms_p50", churn.update_ms_p50);
+  PrintTable("Rule churn: 200 register+remove pairs against 1000 rules (cloud + 1 agent)",
+             {{"rss_mb_per_100_updates", "update_ms_p50"},
+              {F1(churn.rss_mb_per_100_updates), F2(churn.update_ms_p50)}});
 
   if (!quick) {
     const double speedup = indexed_100k > 0 ? linear_100k / indexed_100k : 0;

@@ -18,7 +18,9 @@
 # degraded-mode federated query availability at >= 0.99, then
 # bench_rules --json to BENCH_rules.json and gate the compiled rule
 # index (>= 10x over the linear sweep at 100k rules; 1M rules within 3x
-# the per-event latency of 1k rules), then bench_observability --json to
+# the per-event latency of 1k rules; rule churn frees replaced snapshots:
+# < 20 MB of RSS growth per 100 register+remove pairs against 1000
+# rules), then bench_observability --json to
 # BENCH_observability.json and gate the flow-ledger + watermark overhead
 # at < 2% with a balanced ledger.
 #
@@ -73,14 +75,19 @@ else
   # hostile input: the round-trip, truncation, bit-flip and hostile-request
   # properties must actually have run under ASan+UBSan (out-of-bounds reads
   # in the cast-in-place v4 path are exactly what this build exists to
-  # catch).
+  # catch). The rule-snapshot reclamation tests belong here too: a read
+  # guard that failed to pin its snapshot is a use-after-free.
   ASAN_LOG="${BUILD_DIR:-build-asan}/ctest-output.log"
   for test_name in V4RandomBatchesRoundTripExactly \
                    V4RejectsTruncationEverywhere \
                    V4MutatedPayloadsNeverCrashAndStayStructurallySound \
                    HistoryApiRepliesOncePerHostileRequest \
                    WireV4.BindRejectsStructuralCorruption \
-                   EventCodec.RejectsRetiredWireVersions; do
+                   EventCodec.RejectsRetiredWireVersions \
+                   ConcurrentSnapshotSwapsKeepVerdictsOracleExact \
+                   GuardHeldAcrossPublishPinsItsSnapshot \
+                   DescentCacheMissesOnNewIndexAtFreedAddress \
+                   RuleChurnFreesSnapshotsAndActionsFireOnce; do
     if ! grep -q "$test_name" "$ASAN_LOG"; then
       echo "FAIL: $test_name did not run in the ASan+UBSan pass" >&2
       exit 1
@@ -108,6 +115,8 @@ else
                    SpscRing.StressPreservesFifo \
                    ThreadPool.RingFeedDrainsEveryTaskRoundRobin \
                    ConcurrentSnapshotSwapsKeepVerdictsOracleExact \
+                   GuardHeldAcrossPublishPinsItsSnapshot \
+                   RuleChurnFreesSnapshotsAndActionsFireOnce \
                    FairDrainInterleavesTenantsUnderConcurrency; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
@@ -194,14 +203,21 @@ if [[ "$BENCH_JSON_OUT" == 1 ]]; then
   # load-bearing: at 100k rules the index must beat the linear glob sweep
   # by at least 10x (in practice it is orders of magnitude), and 1M rules
   # must cost at most 3x the per-event latency of 1k rules — i.e. dispatch
-  # is O(matching-rules), not O(rules).
-  RULES_BIN="$FIRST_DIR/bench/bench_rules"
-  [[ -x "build/bench/bench_rules" ]] && RULES_BIN="build/bench/bench_rules"
-  "$RULES_BIN" --json BENCH_rules.json
+  # is O(matching-rules), not O(rules). The churn row gates memory: 100
+  # register+remove pairs against 1000 rules read ~300 MB of RSS growth
+  # while replaced snapshots were kept until Stop, and ~0.04 MB (five
+  # runs: 0.031-0.045) once each is freed after its grace period; 20 MB
+  # sits far from both.
+  # The churn row is an RSS figure, and ASan's quarantine holds freed
+  # memory resident: always run bench_rules from a plain build.
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS" --target bench_rules
+  build/bench/bench_rules --json BENCH_rules.json
   for key in rules_1k_ns_per_event rules_10k_ns_per_event \
              rules_100k_ns_per_event rules_1m_ns_per_event \
              index_build_1m_ms linear_100k_ns_per_event \
-             rule_index_speedup_100k rule_index_flatness_1m_vs_1k; do
+             rule_index_speedup_100k rule_index_flatness_1m_vs_1k \
+             churn_rss_mb_per_100_updates churn_update_ms_p50; do
     if ! grep -q "\"$key\"" BENCH_rules.json; then
       echo "FAIL: BENCH_rules.json is missing $key" >&2
       exit 1
@@ -226,9 +242,19 @@ if [[ "$BENCH_JSON_OUT" == 1 ]]; then
       }
       found2 = 1
     }
+    /"churn_rss_mb_per_100_updates"/ {
+      match($0, /"churn_rss_mb_per_100_updates":[0-9.eE+-]+/)
+      split(substr($0, RSTART, RLENGTH), kv, ":")
+      if (kv[2] + 0 >= 20.0) {
+        printf "FAIL: churn_rss_mb_per_100_updates %.1f >= 20 (replaced rule snapshots are not freed)\n", kv[2] > "/dev/stderr"
+        exit 1
+      }
+      found3 = 1
+    }
     END {
       if (!found) { print "FAIL: rule_index_speedup_100k not found" > "/dev/stderr"; exit 1 }
       if (!found2) { print "FAIL: rule_index_flatness_1m_vs_1k not found" > "/dev/stderr"; exit 1 }
+      if (!found3) { print "FAIL: churn_rss_mb_per_100_updates not found" > "/dev/stderr"; exit 1 }
     }
   ' BENCH_rules.json
 

@@ -1,12 +1,19 @@
 #include "lustre/fid.h"
 
+#include <cstdio>
+
 #include "common/strings.h"
 
 namespace sdci::lustre {
 
 std::string Fid::ToString() const {
-  return "[" + strings::HexU64(seq) + ":" + strings::HexU64(oid) + ":" +
-         strings::HexU64(ver) + "]";
+  // One formatted write: "[0x<seq>:0x<oid>:0x<ver>]", the form Parse reads.
+  char buf[64];
+  const int n = std::snprintf(buf, sizeof(buf), "[0x%llx:0x%llx:0x%llx]",
+                              static_cast<unsigned long long>(seq),
+                              static_cast<unsigned long long>(oid),
+                              static_cast<unsigned long long>(ver));
+  return {buf, static_cast<size_t>(n)};
 }
 
 Result<Fid> Fid::Parse(std::string_view text) {

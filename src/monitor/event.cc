@@ -6,10 +6,20 @@
 namespace sdci::monitor {
 
 std::string FsEvent::ToString() const {
-  std::string out = strings::Format("{} {}", lustre::ChangeLogTypeName(type),
-                                    path.empty() ? ("<" + target_fid.ToString() + ">") : path);
+  // Appends into one string: GCC 12's -Wrestrict misfires on chained
+  // operator+ over temporaries in optimized builds.
+  std::string out(lustre::ChangeLogTypeName(type));
+  out += ' ';
+  if (path.empty()) {
+    out += '<';
+    out += target_fid.ToString();
+    out += '>';
+  } else {
+    out += path;
+  }
   if (type == lustre::ChangeLogType::kRename && !source_path.empty()) {
-    out += " from " + source_path;
+    out += " from ";
+    out += source_path;
   }
   return out;
 }

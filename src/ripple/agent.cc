@@ -116,9 +116,6 @@ void Agent::Stop() {
   }
   action_queue_.Close();
   if (action_thread_.joinable()) action_thread_.join();
-  // Both threads joined: nothing can still hold an acquired snapshot.
-  const std::lock_guard<std::mutex> lock(rules_mutex_);
-  rule_index_.ReclaimRetired();
 }
 
 void Agent::InstallRuleFilter(const Rule& rule) {
@@ -135,14 +132,14 @@ void Agent::RemoveRuleFilter(const std::string& rule_id) {
 void Agent::RebuildRuleIndex() {
   RuleIndex::Builder builder;
   for (const auto& [id, rule] : rule_filters_) builder.Add(rule);
-  // In-flight evaluations keep the snapshot they acquired; new events
-  // see the fresh index. No event ever waits on the control plane.
-  // (Retired snapshots are reclaimed once the event loop has joined.)
+  // An evaluation in flight finishes on the snapshot it pinned; new events
+  // see the fresh index. Publish waits out that evaluation and frees the
+  // old snapshot here, so no event ever waits on the control plane.
   rule_index_.Publish(builder.Build());
 }
 
 bool Agent::MatchesAnyRule(const monitor::FsEvent& event) const {
-  return rule_index_.Acquire()->MatchesAny(event);
+  return rule_index_.Read()->MatchesAny(event);
 }
 
 void Agent::EventLoop(const std::stop_token& stop) {
@@ -227,35 +224,39 @@ void Agent::DeliverBatch(const monitor::EventBatch& batch) {
 }
 
 void Agent::DeliverBatchView(const monitor::wire::EventBatchView& view) {
-  // One snapshot acquire and one descent cache for the whole batch:
-  // consecutive events from the same directory share their trie walk.
-  const RuleIndex* index = rule_index_.Acquire();
-  RuleIndex::Scratch scratch;
+  // Probe, then report. The whole batch is evaluated under one read guard
+  // with one descent cache (consecutive events from the same directory
+  // share their trie walk); the guard drops before the first report, so a
+  // rule update never waits on a report retry.
+  std::vector<uint32_t> matched;
+  {
+    const RuleSnapshotSlot::ReadGuard index = rule_index_.Read();
+    RuleIndex::Scratch scratch;
+    index->EvaluateBatch(view, scratch, matched);
+  }
+  size_t next_match = 0;
   const size_t n = view.size();
   for (size_t i = 0; i < n; ++i) {
     events_seen_->Add();
     if (wm_rule_eval_ != nullptr) wm_rule_eval_->Advance(view.time(i));
-    const uint32_t kind = KindOfEvent(view.type(i));
+    const bool is_match = next_match < matched.size() && matched[next_match] == i;
+    if (is_match) ++next_match;
     if (config_.tracer == nullptr || view.trace_id(i) == 0) {
-      bool matched = false;
-      if (kind != 0) {
-        const monitor::wire::EventView event = view[i];
-        matched = index->MatchesAny(kind, event.path(), event.name(), scratch);
-        if (matched) {
-          events_matched_->Add();
-          ReportWithRetry(event.Materialize());
-        }
+      if (is_match) {
+        events_matched_->Add();
+        ReportWithRetry(view[i].Materialize());
+      } else if (unmatched_ != nullptr) {
+        unmatched_->Add();
       }
-      if (!matched && unmatched_ != nullptr) unmatched_->Add();
       continue;
     }
     // Traced (sampled) events are rare: materialize and mirror the
-    // DeliverEvent span semantics exactly.
+    // DeliverEvent span semantics, with the batch's verdict.
     const VirtualTime start = authority_->Now();
     const uint64_t span = config_.tracer->NewSpanId();
     monitor::FsEvent event = view[i].Materialize();
     const uint64_t parent = event.parent_span;
-    if (index->MatchesAny(kind, event.path, event.name, scratch)) {
+    if (is_match) {
       events_matched_->Add();
       event.parent_span = span;
       ReportWithRetry(event);

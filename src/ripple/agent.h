@@ -179,8 +179,9 @@ class Agent {
   mutable std::mutex rules_mutex_;
   std::map<std::string, Rule> rule_filters_;
   // Copy-on-write compiled dispatch over rule_filters_ (ripple/rule_index.h):
-  // rebuilt and atomically swapped on every control-plane change; the
-  // event loop Acquire()s wait-free.
+  // rebuilt and swapped on every control-plane change, the replaced
+  // snapshot freed once no evaluation can hold it; the event loop pins it
+  // with a wait-free read guard for one batch evaluation at a time.
   RuleSnapshotSlot rule_index_;
 
   std::map<ActionType, std::unique_ptr<ActionExecutor>> executors_;

@@ -86,17 +86,14 @@ void CloudService::Stop() {
   workers_.clear();
   cleanup_thread_.request_stop();
   if (cleanup_thread_.joinable()) cleanup_thread_.join();
-  // Workers are joined: nothing can still hold an acquired snapshot.
-  const std::lock_guard<std::mutex> lock(rules_mutex_);
-  rule_index_.ReclaimRetired();
 }
 
 void CloudService::RebuildRuleIndex() {
   RuleIndex::Builder builder;
   for (const auto& [id, rule] : rules_) builder.Add(rule);
-  // Workers keep evaluating against the snapshot they acquired; the next
-  // message sees the fresh index. No per-event rules_mutex_ anywhere.
-  // (Retired snapshots are reclaimed once the workers have joined.)
+  // A worker mid-match finishes on the snapshot it pinned; the next
+  // message sees the fresh index. Publish waits out those matches and
+  // frees the old snapshot here. No per-event rules_mutex_ anywhere.
   rule_index_.Publish(builder.Build());
 }
 
@@ -213,7 +210,7 @@ Status CloudService::ReportEvent(const std::string& agent_name,
   // the shared lane. One snapshot probe, no locks.
   std::string lane;
   {
-    const RuleIndex* index = rule_index_.Acquire();
+    const RuleSnapshotSlot::ReadGuard index = rule_index_.Read();
     std::vector<const Rule*> matches;
     index->Match(event, matches);
     bool mixed = false;
@@ -267,35 +264,41 @@ bool CloudService::ProcessMessage(const QueueMessage& message) {
   }
   // Evaluate against the compiled snapshot (the reporting agent's filter
   // is advisory; the cloud is authoritative, so rules added between
-  // filtering and processing still fire). The snapshot is immutable and
-  // kept alive by the slot's retire list, so the matched Rule pointers
-  // stay valid for the rest of this message — no per-event rules_mutex_
-  // acquisition.
-  const RuleIndex* index = rule_index_.Acquire();
-  std::vector<const Rule*> matches;
-  index->Match(*event, matches);
-  for (const Rule* rule : matches) {
-    if (!TakeActionToken(rule->tenant)) {
+  // filtering and processing still fire). The read guard covers the match
+  // and the copy-out only: throttling, the DLQ push and the bounded action
+  // queue can block, and a rule update must never wait on them.
+  std::vector<MatchedAction> matched;
+  {
+    const RuleSnapshotSlot::ReadGuard index = rule_index_.Read();
+    std::vector<const Rule*> rules;
+    index->Match(*event, rules);
+    matched.reserve(rules.size());
+    for (const Rule* rule : rules) {
+      matched.push_back({rule->id, rule->tenant, rule->action});
+    }
+  }
+  for (MatchedAction& match : matched) {
+    if (!TakeActionToken(match.tenant)) {
       // Over quota: park the matched action on the DLQ (its tenant's lane)
       // for operator inspection / later re-injection instead of letting
       // one tenant's rule storm monopolize the executor fleet.
       actions_throttled_->Add();
       json::Object parked;
-      parked["tenant"] = json::Value(rule->tenant);
-      parked["rule"] = json::Value(rule->id);
+      parked["tenant"] = json::Value(match.tenant);
+      parked["rule"] = json::Value(match.rule_id);
       parked["event"] = event->ToJson();
-      queue_.PushDeadLetter(json::Value(std::move(parked)).Dump(), rule->tenant);
+      queue_.PushDeadLetter(json::Value(std::move(parked)).Dump(), match.tenant);
       continue;
     }
-    Agent* agent = FindAgent(rule->action.agent);
+    Agent* agent = FindAgent(match.action.agent);
     if (agent == nullptr) {
-      log::Warn("cloud", "rule {} targets unknown agent {}", rule->id,
-                rule->action.agent);
+      log::Warn("cloud", "rule {} targets unknown agent {}", match.rule_id,
+                match.action.agent);
       continue;
     }
     ActionRequest request;
-    request.rule_id = rule->id;
-    request.spec = rule->action;
+    request.rule_id = std::move(match.rule_id);
+    request.spec = std::move(match.action);
     request.event = *event;
     request.attempt = message.receive_count;
     if (agent->EnqueueAction(std::move(request)).ok()) {

@@ -124,6 +124,13 @@ class CloudService {
  private:
   void WorkerLoop(const std::stop_token& stop);
   void CleanupLoop(const std::stop_token& stop);
+  // What ProcessMessage copies out of a matched rule before its read
+  // guard drops.
+  struct MatchedAction {
+    std::string rule_id;
+    std::string tenant;
+    ActionSpec action;
+  };
   // Handles one queue message. Returns true when fully processed (and the
   // entry should be deleted).
   bool ProcessMessage(const QueueMessage& message);
@@ -146,7 +153,9 @@ class CloudService {
   // pointers into rules_ node storage, grouped by watch agent.
   std::map<std::string, std::vector<const Rule*>> rules_by_watch_agent_;
   // Copy-on-write compiled dispatch over rules_ (ripple/rule_index.h):
-  // workers Acquire() wait-free; Publish/Reclaim run under rules_mutex_.
+  // workers pin it with a wait-free read guard for one match; Publish runs
+  // under rules_mutex_ and frees the replaced snapshot after its grace
+  // period.
   RuleSnapshotSlot rule_index_;
 
   // Per-tenant matched-action token buckets (virtual-time refill).

@@ -3,10 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <thread>
+#include <utility>
 
 #include "common/strings.h"
 
 namespace sdci::ripple {
+
+namespace {
+std::atomic<size_t> live_indexes{0};
+}  // namespace
+
+RuleIndex::RuleIndex() { live_indexes.fetch_add(1, std::memory_order_relaxed); }
+
+RuleIndex::~RuleIndex() { live_indexes.fetch_sub(1, std::memory_order_relaxed); }
+
+size_t RuleIndex::Live() noexcept { return live_indexes.load(std::memory_order_relaxed); }
 
 RuleIndex::Builder& RuleIndex::Builder::Add(Rule rule) {
   rules_.push_back(std::move(rule));
@@ -286,6 +299,31 @@ size_t RuleIndex::EvaluateBatch(const monitor::wire::EventBatchView& view,
     }
   }
   return appended;
+}
+
+void RuleSnapshotSlot::Publish(std::shared_ptr<const RuleIndex> next) {
+  std::shared_ptr<const RuleIndex> replaced = std::exchange(current_, std::move(next));
+  live_.store(current_.get());
+  AwaitReaders();
+  replaced.reset();  // freed here unless someone else still owns it
+}
+
+void RuleSnapshotSlot::AwaitReaders() {
+  for (int flip = 0; flip < 2; ++flip) {
+    const uint32_t old_phase = phase_.load(std::memory_order_relaxed);
+    phase_.store(old_phase ^ 1U);
+    const std::atomic<uint32_t>& readers = readers_[old_phase & 1U];
+    // Read sections are one probe or one batch evaluation: yield through
+    // the common case, then back off so a preempted reader costs this
+    // thread sleeps, not a spinning core.
+    for (int spin = 0; readers.load() != 0; ++spin) {
+      if (spin < 64) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+  }
 }
 
 RuleIndex::Layout RuleIndex::layout() const noexcept {

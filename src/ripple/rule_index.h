@@ -30,8 +30,9 @@
 //
 // A RuleIndex is immutable once built. Owners publish it through a
 // RuleSnapshotSlot (below): the control plane rebuilds and swaps on rule
-// changes, the hot path acquires the snapshot with one atomic pointer
-// load and never takes a mutex.
+// changes and frees the replaced snapshot after a grace period; the hot
+// path pins the snapshot with a wait-free read guard and never takes a
+// mutex.
 #pragma once
 
 #include <array>
@@ -80,6 +81,14 @@ class RuleIndex {
 
   // The shared empty index (what an Agent starts with).
   [[nodiscard]] static std::shared_ptr<const RuleIndex> Empty();
+
+  // Indexes alive in this process, the shared empty one included. Lets
+  // tests check that replaced snapshots are actually freed.
+  [[nodiscard]] static size_t Live() noexcept;
+
+  ~RuleIndex();
+  RuleIndex(const RuleIndex&) = delete;
+  RuleIndex& operator=(const RuleIndex&) = delete;
 
   // --- Single-event probes ---
 
@@ -158,7 +167,7 @@ class RuleIndex {
     std::vector<std::pair<std::string, std::vector<uint32_t>>> partial;
   };
 
-  RuleIndex() = default;
+  RuleIndex();
 
   // Inserts compiled rule `pos` under its literal prefix.
   void Insert(std::string_view prefix, uint32_t pos);
@@ -188,54 +197,80 @@ class RuleIndex {
   uint64_t epoch_ = 0;  // monotone build stamp (Scratch invalidation)
 };
 
-// Publishes immutable RuleIndex snapshots to wait-free readers.
+// Publishes immutable RuleIndex snapshots to wait-free readers and frees
+// each replaced snapshot after a grace period.
 //
-// The hot path calls Acquire(): a single acquire load of a raw pointer —
-// no refcount traffic and no lock. (std::atomic<std::shared_ptr> would
-// also work semantically, but libstdc++'s implementation guards the
-// control block with an embedded spin lock whose reader unlock is
-// relaxed, which both serializes every probe and trips TSan.) A pointer
-// returned by Acquire() stays valid because replaced snapshots are
-// parked on a retire list owned by the slot: reclamation is deferred to
-// ReclaimRetired() / destruction, after the owner has stopped the
-// threads that read through the slot. Retired memory is therefore sized
-// by control-plane churn (rule installs and removals), never by event
-// rate; owners with heavy churn should reclaim whenever their workers
-// are known to be quiesced.
+// Readers take a ReadGuard: four atomic operations (load the phase, bump
+// that phase's reader count, load the live pointer; drop the count when
+// the guard dies), with no lock, no CAS retry loop and no refcount on the
+// snapshot. (std::atomic<std::shared_ptr> would also work semantically,
+// but libstdc++'s implementation guards the control block with an
+// embedded spin lock whose reader unlock is relaxed, which both
+// serializes every probe and trips TSan.) The guard's pointer — and every
+// Rule* a probe returns from it — is valid until the guard is destroyed.
+// Read sections must stay short and must not block: copy out what the
+// caller needs (rule ids, tenants, action specs) and drop the guard
+// before any retry sleep, bounded-queue push or other wait. A guard must
+// never be held by a thread that calls Publish() on the same slot.
 //
-// Publish()/ReclaimRetired() must be externally serialized — callers
-// already hold their control-plane rules mutex. Acquire() is safe from
-// any thread at any time and never returns null.
+// Publish() swaps the live pointer and then waits out a grace period, as
+// in userspace RCU: it flips the phase and waits for the old phase's
+// reader count to drain, twice. One flip is not enough — a reader that
+// loaded the old phase but had not yet bumped its count when the flip
+// happened is not waited for, and may then hold the next snapshot under
+// the phase the following Publish() skips. After the second drain no
+// reader can still hold the replaced snapshot, and Publish() destroys it
+// on the calling thread. Reclamation therefore costs the control plane
+// (one grace period per update, bounded by the longest read section),
+// never a reader, and at most two snapshots per slot are alive at once:
+// the live one and the one being replaced.
+//
+// Publish() must be externally serialized — callers already hold their
+// control-plane rules mutex. Read() is safe from any thread at any time
+// and never yields null.
 class RuleSnapshotSlot {
  public:
-  RuleSnapshotSlot() : current_(RuleIndex::Empty()) {
-    live_.store(current_.get(), std::memory_order_release);
-  }
+  class ReadGuard {
+   public:
+    // Sequentially consistent on purpose: the grace-period argument needs
+    // one total order over these loads, the count bump and Publish's
+    // store, flips and drains.
+    explicit ReadGuard(const RuleSnapshotSlot& slot) noexcept
+        : readers_(&slot.readers_[slot.phase_.load() & 1U]) {
+      readers_->fetch_add(1);
+      index_ = slot.live_.load();
+    }
+    ~ReadGuard() { readers_->fetch_sub(1, std::memory_order_release); }
+    ReadGuard(const ReadGuard&) = delete;
+    ReadGuard& operator=(const ReadGuard&) = delete;
 
-  // Hot path: the current snapshot. Matched Rule pointers stay valid
-  // exactly as long as the snapshot they came from — i.e. until the
-  // owner reclaims, which it may only do once readers are quiesced.
-  [[nodiscard]] const RuleIndex* Acquire() const noexcept {
-    return live_.load(std::memory_order_acquire);
-  }
+    [[nodiscard]] const RuleIndex* get() const noexcept { return index_; }
+    const RuleIndex* operator->() const noexcept { return index_; }
+    const RuleIndex& operator*() const noexcept { return *index_; }
 
-  // Control plane: swap in a freshly built snapshot.
-  void Publish(std::shared_ptr<const RuleIndex> next) {
-    retired_.push_back(std::move(current_));
-    current_ = std::move(next);
-    live_.store(current_.get(), std::memory_order_release);
-  }
+   private:
+    std::atomic<uint32_t>* readers_;
+    const RuleIndex* index_;
+  };
 
-  // Frees retired snapshots. Only safe once no reader can still be using
-  // a pointer from an earlier Acquire().
-  void ReclaimRetired() { retired_.clear(); }
+  RuleSnapshotSlot() : current_(RuleIndex::Empty()) { live_.store(current_.get()); }
 
-  [[nodiscard]] size_t retired_count() const noexcept { return retired_.size(); }
+  // Hot path: pins the current snapshot until the guard is destroyed.
+  [[nodiscard]] ReadGuard Read() const noexcept { return ReadGuard(*this); }
+
+  // Control plane: swaps in a freshly built snapshot, waits until no
+  // reader can hold the replaced one, and destroys it on this thread.
+  void Publish(std::shared_ptr<const RuleIndex> next);
 
  private:
+  // Two-phase flip-and-drain (see the class comment).
+  void AwaitReaders();
+
   std::shared_ptr<const RuleIndex> current_;
-  std::vector<std::shared_ptr<const RuleIndex>> retired_;
   std::atomic<const RuleIndex*> live_{nullptr};
+  std::atomic<uint32_t> phase_{0};
+  // Written by every reader: kept off the line holding live_ and phase_.
+  alignas(64) mutable std::array<std::atomic<uint32_t>, 2> readers_{};
 };
 
 }  // namespace sdci::ripple

@@ -11,6 +11,7 @@
 
 #include <thread>
 
+#include "common/strings.h"
 #include "monitor/consumer.h"
 
 #if defined(__SANITIZE_THREAD__)
@@ -44,7 +45,7 @@ class AggregatorIngestTest : public ::testing::Test {
     event.type = lustre::ChangeLogType::kCreate;
     event.time = Micros(i);
     event.path = "/p/f" + std::to_string(i);
-    event.name = "f" + std::to_string(i);
+    event.name = strings::Format("f{}", i);
     return event;
   }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <thread>
 
+#include "common/strings.h"
 #include "monitor/consumer.h"
 
 namespace sdci::monitor {
@@ -35,7 +36,7 @@ class AggregatorSupervisorTest : public ::testing::Test {
     event.type = lustre::ChangeLogType::kCreate;
     event.time = Micros(i);
     event.path = "/p/f" + std::to_string(i);
-    event.name = "f" + std::to_string(i);
+    event.name = strings::Format("f{}", i);
     return event;
   }
 
@@ -170,11 +171,12 @@ TEST_F(AggregatorSupervisorTest, CrashProbSelfInjectsAndPipelineKeepsAssigning) 
   }));
 
   // Despite repeated crashes the watermark only ever moved forward, and
-  // every assigned sequence is in the WAL.
+  // every assigned sequence is in the WAL. Read both once the pipeline has
+  // stopped: while it runs, a batch can commit between the two reads.
+  supervisor.Stop();
   const uint64_t assigned = supervisor.NextSeq() - 1;
   EXPECT_GT(assigned, 0u);
   EXPECT_EQ(supervisor.Stats().checkpointed, assigned);
-  supervisor.Stop();
 }
 
 TEST_F(AggregatorSupervisorTest, InjectCrashWhileDownIsHarmless) {

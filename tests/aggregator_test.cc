@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "monitor/consumer.h"
 
 namespace sdci::monitor {
@@ -24,7 +25,7 @@ class AggregatorTest : public ::testing::Test {
     event.type = lustre::ChangeLogType::kCreate;
     event.time = Micros(i);
     event.path = "/p/f" + std::to_string(i);
-    event.name = "f" + std::to_string(i);
+    event.name = strings::Format("f{}", i);
     return event;
   }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+
 namespace sdci::lustre {
 namespace {
 
@@ -198,7 +200,7 @@ TEST(ChangeLog, NoConsumersMeansRetention) {
 TEST(ChangeLog, DumpRestoreRoundTrip) {
   ChangeLog original(0);
   for (int i = 0; i < 5; ++i) {
-    original.Append(MakeRecord(ChangeLogType::kCreate, "f" + std::to_string(i)));
+    original.Append(MakeRecord(ChangeLogType::kCreate, strings::Format("f{}", i)));
   }
   // Reclaim a prefix so the dump starts above index 1.
   const ConsumerId c = original.RegisterConsumer();

@@ -662,7 +662,11 @@ TEST(FleetChaos, SpoolExertsBackpressureInsteadOfDroppingOldest) {
 // redeliveries throughout, and the well-behaved tenants' actions still
 // land exactly once each.
 TEST(FleetChaos, PoisonTenantThrottlesToDlqWithoutStarvingNeighbors) {
-  TimeAuthority authority(2000.0);
+  // Dilation 20 keeps the 30 ms visibility timeout at 1.5 ms of wall time,
+  // well above one sanitizer-slowed receive-process-delete. (At 2000 it
+  // was 15 us: entries expired mid-processing until max_receives
+  // dead-lettered them.)
+  TimeAuthority authority(20.0);
   const auto profile = lustre::TestbedProfile::Test();
   lustre::FileSystem fs(lustre::FileSystemConfig::FromProfile(profile),
                         authority);
@@ -677,8 +681,8 @@ TEST(FleetChaos, PoisonTenantThrottlesToDlqWithoutStarvingNeighbors) {
   cloud_config.cleanup_interval = Millis(10);
   cloud_config.worker_crash_prob = 0.2;  // redeliveries all the way through
   cloud_config.fault_seed = 17;
-  // Metering on, refill negligible: virtual time tracks wall time at
-  // dilation 2000, so any visible rate would re-arm the poison bucket
+  // Metering on, refill negligible: virtual time runs 20x wall time, so
+  // any visible rate would re-arm the poison bucket
   // while the chaos runs and erode the throttle accounting below.
   cloud_config.tenant_action_rate = 1e-9;
   cloud_config.tenant_action_burst = 64.0;

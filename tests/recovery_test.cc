@@ -6,6 +6,7 @@
 #include <functional>
 #include <thread>
 
+#include "common/strings.h"
 #include "monitor/aggregator.h"
 #include "monitor/aggregator_supervisor.h"
 #include "monitor/consumer.h"
@@ -30,7 +31,7 @@ class RecoveryTest : public ::testing::Test {
     event.type = lustre::ChangeLogType::kCreate;
     event.time = Micros(i);
     event.path = "/p/f" + std::to_string(i);
-    event.name = "f" + std::to_string(i);
+    event.name = strings::Format("f{}", i);
     return event;
   }
 

@@ -4,6 +4,12 @@
 // injection across every reliability mechanism at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
+#include <mutex>
+#include <thread>
+
 #include "lustre/client.h"
 #include "monitor/consumer.h"
 #include "monitor/monitor.h"
@@ -211,6 +217,137 @@ TEST_F(RippleIntegrationTest, EndToEndUnderFaultInjection) {
   EXPECT_GT(cloud_stats.reports_dropped, 0u) << "faults actually injected";
   EXPECT_GT(cloud_stats.worker_crashes, 0u);
   EXPECT_EQ(agent.Stats().report_failures, 0u) << "retries always succeeded";
+}
+
+// Rule churn against a live deployment: 1000 installed rules, a running
+// event loop and cloud workers, and 500 register+remove pairs while files
+// land. Every replaced RuleIndex snapshot must be freed within its update
+// (at most two alive per slot at any instant — the live one and the one
+// being built or replaced — and one per slot once the update returns),
+// and every matching create must still fire its action exactly once.
+TEST_F(RippleIntegrationTest, RuleChurnFreesSnapshotsAndActionsFireOnce) {
+  monitor::MonitorConfig mon_config;
+  mon_config.collector.poll_interval = Millis(1);
+  monitor::Monitor mon(hpc_, profile_, authority_, context_, mon_config);
+  mon.Start();
+
+  ripple::CloudConfig cloud_config;
+  cloud_config.worker_poll = Millis(1);
+  ripple::CloudService cloud(authority_, cloud_config);
+  ripple::AgentConfig agent_config;
+  agent_config.name = "hpc";
+  ripple::Agent agent(agent_config, hpc_, cloud, endpoints_, authority_);
+  agent.AttachSource(std::make_unique<monitor::EventSubscriber>(
+      context_, mon_config.aggregator.publish_endpoint, "fsevent.", 1u << 16,
+      msgq::HwmPolicy::kBlock));
+  std::mutex fired_mutex;
+  std::map<std::string, int> fired;  // path -> executions
+  agent.RegisterExecutor(
+      ripple::ActionType::kLocalCommand,
+      std::make_unique<ripple::LocalCommandExecutor>(
+          [&](const ripple::ActionContext&, const std::string&,
+              const monitor::FsEvent& event) -> Status {
+            const std::lock_guard<std::mutex> lock(fired_mutex);
+            ++fired[event.path];
+            return OkStatus();
+          }));
+  // Both slots hold the shared empty index now.
+  const size_t baseline = ripple::RuleIndex::Live();
+
+  const auto make_rule = [](std::string id, std::string glob) {
+    ripple::Rule rule;
+    rule.id = std::move(id);
+    rule.trigger.event_mask = ripple::kCreated;
+    rule.trigger.path_glob = Glob(std::move(glob));
+    rule.action.type = ripple::ActionType::kLocalCommand;
+    rule.action.agent = "hpc";
+    json::Object params;
+    params["command"] = json::Value("record {path}");
+    rule.action.params = json::Value(std::move(params));
+    rule.watch_agent = "hpc";
+    return rule;
+  };
+  constexpr int kRules = 1000;
+  for (int k = 0; k < kRules; ++k) {
+    auto rule = make_rule("r" + std::to_string(k),
+                          "/data/d" + std::to_string(k) + "/*.h5");
+    rule.tenant = "t" + std::to_string(k % 10);
+    ASSERT_TRUE(cloud.RegisterRule(rule).ok());
+  }
+  EXPECT_EQ(ripple::RuleIndex::Live(), baseline + 2);
+  cloud.Start();
+  agent.Start();
+
+  // Files land in 20 ruled directories for as long as the churn runs;
+  // every other one is a non-matching .dat.
+  constexpr int kDirs = 20;
+  lustre::Client setup(hpc_, profile_, authority_);
+  for (int d = 0; d < kDirs; ++d) {
+    ASSERT_TRUE(setup.MkdirAll("/data/d" + std::to_string(d)).ok());
+  }
+  setup.FlushDelay();
+  std::atomic<bool> churn_done{false};
+  std::atomic<size_t> max_live{0};
+  int expected_actions = 0;
+  std::thread writer([&] {
+    lustre::Client client(hpc_, profile_, authority_, 2);
+    for (int i = 0; i < 800 && !churn_done.load(); ++i) {
+      const bool match = i % 2 == 0;
+      const std::string path = "/data/d" + std::to_string(i % kDirs) + "/f" +
+                               std::to_string(i) + (match ? ".h5" : ".dat");
+      if (client.Create(path).ok() && match) ++expected_actions;
+      client.FlushDelay();
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  std::thread sampler([&] {
+    while (!churn_done.load()) {
+      const size_t live = ripple::RuleIndex::Live();
+      size_t seen = max_live.load();
+      while (live > seen && !max_live.compare_exchange_weak(seen, live)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+
+  constexpr int kPairs = 500;
+  size_t max_live_after_update = 0;
+  bool updates_ok = true;
+  for (int i = 0; i < kPairs && updates_ok; ++i) {
+    const std::string id = "churn" + std::to_string(i);
+    updates_ok =
+        cloud.RegisterRule(make_rule(id, "/churn/u" + std::to_string(i) + "/**")).ok();
+    max_live_after_update = std::max(max_live_after_update, ripple::RuleIndex::Live());
+    updates_ok = updates_ok && cloud.RemoveRule(id).ok();
+    max_live_after_update = std::max(max_live_after_update, ripple::RuleIndex::Live());
+  }
+  churn_done.store(true);
+  writer.join();
+  sampler.join();
+  ASSERT_TRUE(updates_ok);
+
+  const auto total_fired = [&] {
+    const std::lock_guard<std::mutex> lock(fired_mutex);
+    int total = 0;
+    for (const auto& [path, count] : fired) total += count;
+    return total;
+  };
+  ASSERT_GT(expected_actions, 0);
+  EXPECT_TRUE(WaitFor([&] { return total_fired() >= expected_actions; }, 30))
+      << "fired " << total_fired() << " of " << expected_actions;
+  agent.Stop();
+  cloud.Stop();
+  mon.Stop();
+
+  EXPECT_LE(max_live.load(), baseline + 4) << "more than two snapshots alive per slot";
+  EXPECT_EQ(max_live_after_update, baseline + 2) << "a replaced snapshot outlived its update";
+  EXPECT_EQ(ripple::RuleIndex::Live(), baseline + 2);
+  const std::lock_guard<std::mutex> lock(fired_mutex);
+  EXPECT_EQ(fired.size(), static_cast<size_t>(expected_actions));
+  for (const auto& [path, count] : fired) {
+    EXPECT_EQ(count, 1) << path;
+    EXPECT_TRUE(path.ends_with(".h5")) << path;
+  }
 }
 
 TEST_F(RippleIntegrationTest, PersonalDeviceAgentUsesLocalWatcher) {

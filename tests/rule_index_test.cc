@@ -1,13 +1,14 @@
 // RuleIndex correctness: the compiled dispatch must be observably
 // indistinguishable from the linear scan it replaces — same verdicts, same
 // matched rules, same order — across handcrafted edge cases, a randomized
-// 1k-rule property sweep, batched wire-view evaluation, and concurrent
-// snapshot swaps.
+// 1k-rule property sweep, batched wire-view evaluation, concurrent
+// snapshot swaps and grace-period reclamation.
 #include "ripple/rule_index.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -260,17 +261,42 @@ TEST(RuleIndex, EvaluateBatchAgreesWithPerEventOracle) {
   }
 }
 
+// Wraps a built index so its destruction is observable: `alive` counts
+// hooked snapshots not yet destroyed, and the deleter records the thread
+// that destroyed it.
+struct DestroyHook {
+  std::atomic<int> alive{0};
+  std::atomic<bool> destroyed{false};
+  std::thread::id destroyed_on;
+};
+
+std::shared_ptr<const RuleIndex> Hooked(std::shared_ptr<const RuleIndex> built,
+                                        DestroyHook& hook) {
+  hook.alive.fetch_add(1);
+  const RuleIndex* raw = built.get();
+  return {raw, [built = std::move(built), &hook](const RuleIndex*) mutable {
+            built.reset();
+            hook.destroyed_on = std::this_thread::get_id();
+            hook.destroyed.store(true);
+            hook.alive.fetch_sub(1);
+          }};
+}
+
 // Readers race a writer that rebuilds and publishes snapshots through a
 // RuleSnapshotSlot — the exact publication protocol Agent and
-// CloudService use. A pointer a reader acquired must stay valid and its
-// verdicts oracle-exact for that snapshot: concurrent Add/Remove can
-// never produce a verdict no rule set ever held, and retired snapshots
-// must not be reclaimed under a live reader. Run under TSan (check.sh
-// greps for this test in the TSan suite) to prove the swap protocol is
-// race-free.
+// CloudService use. Inside its read guard a reader dereferences every
+// Rule* the probe returned, and its verdicts must be oracle-exact for the
+// pinned snapshot: concurrent Add/Remove can never produce a verdict no
+// rule set ever held. Replaced snapshots are freed as soon as their grace
+// period ends, so at most two are ever alive (the live one and the one
+// being built or replaced) and exactly one once Publish returns. Run
+// under ASan (a guard that failed to pin would be a use-after-free) and
+// TSan (check.sh greps for this test in both suites).
 TEST(RuleIndexConcurrency, ConcurrentSnapshotSwapsKeepVerdictsOracleExact) {
   RuleSnapshotSlot slot;
+  DestroyHook hook;
   std::atomic<bool> stop{false};
+  std::atomic<bool> over_budget{false};
   constexpr int kSwaps = 200;
   std::thread writer([&] {
     Rng rng(7);
@@ -278,37 +304,117 @@ TEST(RuleIndexConcurrency, ConcurrentSnapshotSwapsKeepVerdictsOracleExact) {
       RuleIndex::Builder builder;
       const size_t n = 1 + rng.NextBelow(50);
       for (size_t i = 0; i < n; ++i) builder.Add(RandomRule(rng, i));
-      slot.Publish(builder.Build());
+      auto next = Hooked(builder.Build(), hook);
+      if (hook.alive.load() > 2) over_budget.store(true);
+      slot.Publish(std::move(next));
+      if (hook.alive.load() != 1) over_budget.store(true);
     }
     stop.store(true, std::memory_order_release);
   });
   std::vector<std::thread> readers;
   std::atomic<bool> failed{false};
+  std::atomic<uint64_t> probes{0};
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(100 + t);
       RuleIndex::Scratch scratch;  // reused across snapshots: epoch guard
       while (!stop.load(std::memory_order_acquire)) {
-        const RuleIndex* index = slot.Acquire();
         const FsEvent event = RandomEvent(rng);
+        const RuleSnapshotSlot::ReadGuard index = slot.Read();
         std::vector<const Rule*> out;
         index->Match(KindOfEvent(event.type), event.path, event.name, scratch,
                      out);
-        if (out.size() != OracleMatch(*index, event).size()) {
+        std::vector<std::string> ids;
+        for (const Rule* rule : out) ids.push_back(rule->id);
+        if (ids != OracleMatch(*index, event)) {
           failed.store(true, std::memory_order_relaxed);
           return;
         }
+        probes.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   writer.join();
   for (auto& reader : readers) reader.join();
   EXPECT_FALSE(failed.load()) << "a reader saw a verdict its snapshot never held";
-  // Every replaced snapshot (incl. the initial empty one) sits on the
-  // retire list until the owner — now quiesced — reclaims it.
-  EXPECT_EQ(slot.retired_count(), static_cast<size_t>(kSwaps));
-  slot.ReclaimRetired();
-  EXPECT_EQ(slot.retired_count(), 0u);
+  EXPECT_FALSE(over_budget.load()) << "a replaced snapshot outlived its grace period";
+  EXPECT_GT(probes.load(), 0u);
+  EXPECT_EQ(hook.alive.load(), 1);  // only the live snapshot remains
+}
+
+// A guard held across a Publish pins its snapshot: Publish swaps the live
+// pointer at once but does not return, or free anything, until the guard
+// drops — and then frees the old snapshot on the publishing thread, never
+// on the reader's.
+TEST(RuleIndexConcurrency, GuardHeldAcrossPublishPinsItsSnapshot) {
+  RuleSnapshotSlot slot;
+  DestroyHook old_hook;
+  DestroyHook new_hook;
+  RuleIndex::Builder builder;
+  builder.Add(MakeRule("old", "/lab/old/*.h5"));
+  slot.Publish(Hooked(builder.Build(), old_hook));
+  builder.Add(MakeRule("new", "/lab/new/*.h5"));
+  auto next = Hooked(builder.Build(), new_hook);
+  const RuleIndex* next_raw = next.get();
+
+  std::thread::id publisher_id;
+  std::atomic<bool> published{false};
+  std::thread publisher;
+  {
+    const RuleSnapshotSlot::ReadGuard pinned = slot.Read();
+    ASSERT_EQ(pinned->size(), 1u);
+    publisher = std::thread([&] {
+      publisher_id = std::this_thread::get_id();
+      slot.Publish(std::move(next));
+      published.store(true);
+    });
+    // New readers see the new snapshot as soon as the swap lands...
+    while (slot.Read().get() != next_raw) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // ...but the pinned one stays alive and intact while the guard lives.
+    EXPECT_FALSE(published.load()) << "Publish returned while a reader held the old snapshot";
+    EXPECT_FALSE(old_hook.destroyed.load());
+    EXPECT_TRUE(pinned->MatchesAny(MakeEvent("/lab/old/x.h5")));
+    EXPECT_EQ(pinned->rules().front().id, "old");
+  }
+  publisher.join();
+  EXPECT_TRUE(published.load());
+  EXPECT_TRUE(old_hook.destroyed.load());
+  EXPECT_EQ(old_hook.destroyed_on, publisher_id);
+  EXPECT_EQ(new_hook.alive.load(), 1);
+}
+
+// The Scratch descent cache is keyed by (owner, epoch). Once an index is
+// freed, a new index can land at the same address; the epoch alone must
+// then force a fresh descent, or the stale candidates of the freed index
+// would be run against the new one's rules. (Under ASan the freed address
+// is quarantined and never reused; the verdicts are still checked.)
+TEST(RuleIndexScratch, DescentCacheMissesOnNewIndexAtFreedAddress) {
+  RuleIndex::Scratch scratch;
+  const uint32_t kind = KindOfEvent(ChangeLogType::kCreate);
+  const void* freed = nullptr;
+  {
+    RuleIndex::Builder builder;
+    builder.Add(MakeRule("a", "/lab/a/*.h5"));
+    const auto first = builder.Build();
+    ASSERT_TRUE(first->MatchesAny(kind, "/lab/a/x.h5", "x.h5", scratch));
+    freed = first.get();
+  }
+  std::shared_ptr<const RuleIndex> second;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    RuleIndex::Builder builder;
+    // Same shape at a sibling directory: a stale cache hit on "/lab/a/"
+    // would replay candidate 0 — this rule — whose glob tail accepts
+    // "x.h5".
+    builder.Add(MakeRule("b", "/lab/b/*.h5"));
+    second = builder.Build();
+    if (second.get() == freed) break;
+  }
+  EXPECT_FALSE(second->MatchesAny(kind, "/lab/a/x.h5", "x.h5", scratch));
+  std::vector<const Rule*> out;
+  second->Match(kind, "/lab/a/x.h5", "x.h5", scratch, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(second->MatchesAny(kind, "/lab/b/x.h5", "x.h5", scratch));
 }
 
 }  // namespace

@@ -32,8 +32,11 @@ TEST(ReliableQueue, SendReceiveDelete) {
   EXPECT_EQ(queue.TotalDeleted(), 1u);
 }
 
+// Tests that assert an entry is still in flight use a low dilation, as
+// FifoAmongVisible does: at 1000x the 50 ms visibility timeout is 50 us of
+// wall time, and one preemption between two calls would expire it.
 TEST(ReliableQueue, InFlightMessagesAreInvisible) {
-  TimeAuthority authority(1000.0);
+  TimeAuthority authority(10.0);
   ReliableQueue queue(authority, FastConfig());
   queue.Send("a");
   auto first = queue.Receive();
@@ -75,7 +78,7 @@ TEST(ReliableQueue, FifoAmongVisible) {
 }
 
 TEST(ReliableQueue, CleanupSweepRevivesEagerly) {
-  TimeAuthority authority(1000.0);
+  TimeAuthority authority(10.0);  // "not yet expired" needs an open window
   ReliableQueue queue(authority, FastConfig());
   queue.Send("a");
   (void)queue.Receive();
@@ -181,7 +184,7 @@ TEST(ReliableQueueFairness, PushDeadLetterBypassesTheQueue) {
 // the backlogged tenant must not lock out the light one. Run under TSan
 // (check.sh greps for this test in the TSan suite).
 TEST(ReliableQueueFairness, FairDrainInterleavesTenantsUnderConcurrency) {
-  TimeAuthority authority(1000.0);
+  TimeAuthority authority(10.0);  // the window below is 30 s of wall time
   ReliableQueueConfig config;
   config.visibility_timeout = Seconds(300.0);  // no mid-test expiry
   ReliableQueue queue(authority, config);
