@@ -49,6 +49,7 @@ Agent::Agent(AgentConfig config, lustre::FileSystem& storage, CloudService& clou
     flow.Bind("agent.actions", inst, FlowKind::kOut, "deduped", actions_deduped_);
     flow.Bind("agent.actions", inst, FlowKind::kOut, "executed", actions_executed_);
     flow.Bind("agent.actions", inst, FlowKind::kOut, "failed", actions_failed_);
+    rejected_ = flow.Account("agent.actions", inst, FlowKind::kOut, "rejected");
     flow.BindCallback(
         "agent.actions", inst, FlowKind::kHeld, "queue",
         [weak = std::weak_ptr<bool>(alive_), this]() -> std::optional<int64_t> {
@@ -227,7 +228,8 @@ void Agent::DeliverBatchView(const monitor::wire::EventBatchView& view) {
   // Probe, then report. The whole batch is evaluated under one read guard
   // with one descent cache (consecutive events from the same directory
   // share their trie walk); the guard drops before the first report, so a
-  // rule update never waits on a report retry.
+  // rule update never waits on a report retry. Traced events are probed
+  // again inside their span below.
   std::vector<uint32_t> matched;
   {
     const RuleSnapshotSlot::ReadGuard index = rule_index_.Read();
@@ -250,13 +252,14 @@ void Agent::DeliverBatchView(const monitor::wire::EventBatchView& view) {
       }
       continue;
     }
-    // Traced (sampled) events are rare: materialize and mirror the
-    // DeliverEvent span semantics, with the batch's verdict.
+    // Traced (sampled) events are rare: materialize and probe again inside
+    // the span, as DeliverEvent does, so agent.rule_eval covers evaluation
+    // as well as the report. The batch verdict is not reused here.
     const VirtualTime start = authority_->Now();
     const uint64_t span = config_.tracer->NewSpanId();
     monitor::FsEvent event = view[i].Materialize();
     const uint64_t parent = event.parent_span;
-    if (is_match) {
+    if (MatchesAnyRule(event)) {
       events_matched_->Add();
       event.parent_span = span;
       ReportWithRetry(event);
@@ -288,8 +291,9 @@ void Agent::ReportWithRetry(const monitor::FsEvent& event) {
 
 Status Agent::EnqueueAction(ActionRequest request) {
   actions_received_->Add();
+  std::string key;
   if (config_.dedupe_actions) {
-    const std::string key = ActionKey(request);
+    key = ActionKey(request);
     const std::lock_guard<std::mutex> lock(dedupe_mutex_);
     if (dedupe_.Get(key).has_value()) {
       actions_deduped_->Add();
@@ -297,7 +301,17 @@ Status Agent::EnqueueAction(ActionRequest request) {
     }
     dedupe_.Put(key, true);
   }
-  return action_queue_.Push(std::move(request));
+  Status pushed = action_queue_.Push(std::move(request));
+  if (!pushed.ok()) {
+    // Stopped: the cloud keeps the message for redelivery, so this
+    // delivery was never accepted and must not dedupe a later one.
+    if (rejected_ != nullptr) rejected_->Add();
+    if (config_.dedupe_actions) {
+      const std::lock_guard<std::mutex> lock(dedupe_mutex_);
+      dedupe_.Erase(key);
+    }
+  }
+  return pushed;
 }
 
 std::string Agent::ActionKey(const ActionRequest& request) {

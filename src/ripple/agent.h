@@ -208,8 +208,10 @@ class Agent {
 
   // Flow-ledger extras and stage watermarks (null when config_.flow /
   // config_.watermarks are unset). `unmatched_` closes the rule_eval row:
-  // seen == matched + unmatched.
+  // seen == matched + unmatched. `rejected_` closes the actions row for
+  // deliveries that arrive after Stop has closed the action queue.
   std::shared_ptr<Counter> unmatched_;
+  std::shared_ptr<Counter> rejected_;
   std::shared_ptr<StageWatermark> wm_rule_eval_;
   std::shared_ptr<StageWatermark> wm_execute_;
   // Invalidated in the destructor so the ledger's action-queue depth

@@ -277,6 +277,7 @@ bool CloudService::ProcessMessage(const QueueMessage& message) {
       matched.push_back({rule->id, rule->tenant, rule->action});
     }
   }
+  bool delivered = true;
   for (MatchedAction& match : matched) {
     if (!TakeActionToken(match.tenant)) {
       // Over quota: park the matched action on the DLQ (its tenant's lane)
@@ -303,9 +304,15 @@ bool CloudService::ProcessMessage(const QueueMessage& message) {
     request.attempt = message.receive_count;
     if (agent->EnqueueAction(std::move(request)).ok()) {
       actions_dispatched_->Add();
+    } else {
+      delivered = false;
     }
   }
   events_processed_->Add();
+  // A stopped agent turned an action away: keep the message, so it is
+  // redelivered after its visibility timeout (the agent's dedupe absorbs
+  // the actions that did go through) or dead-lettered at max_receives.
+  if (!delivered) return false;
 
   // Injected Lambda crash: the entry is NOT deleted and will be
   // redelivered after its visibility timeout (the cleanup path).

@@ -3,6 +3,7 @@
 // (at-least-once), dedupe, and rule distribution to agents.
 #include <gtest/gtest.h>
 
+#include "monitor/flow_ledger.h"
 #include "ripple/agent.h"
 #include "ripple/cloud.h"
 
@@ -165,6 +166,34 @@ TEST_F(CloudAgentTest, WorkerCrashCausesRedeliveryNotLoss) {
   // duplicate deliveries so exactly 30 actions ran.
   EXPECT_EQ(agent->outbox().Count(), 30u);
   EXPECT_GT(agent->Stats().actions_deduped, 0u);
+}
+
+TEST_F(CloudAgentTest, ActionForStoppedAgentStaysQueuedAndLedgerBalances) {
+  auto flow = std::make_shared<FlowLedger>();
+  CloudConfig cloud_config = FastCloud();
+  cloud_config.flow = flow;
+  CloudService cloud(authority_, cloud_config);
+  AgentConfig config;
+  config.name = "hpc";
+  config.flow = flow;
+  Agent agent(config, fs_, cloud, endpoints_, authority_);
+  ASSERT_TRUE(cloud.RegisterRule(EmailRule("r1", "hpc")).ok());
+  agent.Start();
+  agent.Stop();  // closes the action queue
+  agent.DeliverEvent(CreateEvent("/a.h5", 1));
+  cloud.PumpUntilQuiet();
+  // The turned-away action is not deleted: the message stays in flight
+  // (or dead-letters at max_receives) and every ledger row balances.
+  EXPECT_GE(agent.Stats().actions_received, 1u);
+  EXPECT_EQ(cloud.Stats().actions_dispatched, 0u);
+  EXPECT_EQ(cloud.queue().TotalDeleted(), 0u);
+  const auto audit = flow->Audit();
+  for (const auto& row : audit.rows) {
+    EXPECT_EQ(row.imbalance, 0) << row.boundary << "/" << row.instance
+                                << ": in=" << row.in << " out=" << row.out
+                                << " held=" << row.held;
+  }
+  EXPECT_TRUE(audit.balanced);
 }
 
 TEST_F(CloudAgentTest, DedupeDisabledExecutesDuplicates) {
