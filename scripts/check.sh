@@ -148,8 +148,7 @@ if [[ "$BENCH_JSON_OUT" == 1 ]]; then
   [[ -x "build/bench/bench_throughput" ]] && BENCH_BIN="build/bench/bench_throughput"
   "$BENCH_BIN" --json BENCH_throughput.json
   for key in workers_1_drain_rate workers_4_drain_rate speedup_4_workers \
-             fanin_4c_workers_1_drain_rate fanin_4c_workers_4_drain_rate \
-             aggregator_speedup_4_workers \
+             fanin_4c_workers_1_drain_rate \
              fanin_8c_workers_1_drain_rate fleet_8c_4_shards_drain_rate \
              fleet_speedup_4_shards; do
     if ! grep -q "\"$key\"" BENCH_throughput.json; then

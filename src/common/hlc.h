@@ -40,7 +40,7 @@ struct HlcStamp {
 };
 
 // One shard's clock. Not internally synchronized: Tick() is called from
-// the shard's single sequencer thread (Observe() from a federation
+// the shard's single ingest thread (Observe() from a federation
 // consumer's single drain thread); wrap externally if that ever changes.
 class HlcClock {
  public:

@@ -1,5 +1,5 @@
-// ReorderBuffer: the ticketed reorder pattern shared by the pipelined
-// stages of this codebase.
+// ReorderBuffer: the ticketed reorder pattern of the collector's
+// pipelined resolver stage.
 //
 // A single producer issues monotonically increasing *tickets* (arrival
 // order); a pool of workers completes tickets out of order; a single
@@ -8,27 +8,17 @@
 // consumer backpressures the producer instead of letting completed work
 // accumulate without limit.
 //
-// Two consumption styles cover both call sites that grew this pattern
-// independently (the collector's publisher and the aggregator's
-// sequencer):
-//
-//   - AwaitNext(out) / Release(): take the value at the cursor WITHOUT
-//     advancing it, perform its side effects (publish, purge), then
-//     Release(). The in-flight window keeps covering the value being
-//     worked on, so "window" means exactly "tickets issued but not yet
-//     fully delivered" — the collector's purge-after-publish contract
-//     depends on that accounting.
-//   - TakeGroup(max): wait for the cursor's ticket, then pop up to `max`
-//     consecutive already-completed tickets in one call, advancing the
-//     cursor per value (group members are released immediately). This is
-//     the sequencer's opportunistic group commit: a lone ready ticket
-//     goes through alone, the group only grows with what is already
-//     completed.
+// The consumer takes the value at the cursor WITHOUT advancing it
+// (AwaitNext), performs its side effects (publish, purge), then calls
+// Release(). The in-flight window keeps covering the value being worked
+// on, so "window" means exactly "tickets issued but not yet fully
+// delivered" — the collector's purge-after-publish contract depends on
+// that accounting.
 //
 // Thread-safety: any number of Complete() callers; one producer thread
-// calling Acquire(); one consumer thread calling AwaitNext/Release or
-// TakeGroup. Occupancy/InFlight/TicketsIssued may be read from anywhere
-// (scrape callbacks).
+// calling Acquire(); one consumer thread calling AwaitNext/Release.
+// Occupancy/InFlight/TicketsIssued may be read from anywhere (scrape
+// callbacks).
 #pragma once
 
 #include <condition_variable>
@@ -36,7 +26,6 @@
 #include <map>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace sdci {
 
@@ -110,29 +99,6 @@ class ReorderBuffer {
       ++cursor_;
     }
     cv_.notify_all();
-  }
-
-  // Consumer: blocks like AwaitNext(), then pops up to `max` consecutive
-  // completed values starting at the cursor, advancing it per value. An
-  // empty result means done and drained.
-  [[nodiscard]] std::vector<T> TakeGroup(size_t max) {
-    std::vector<T> group;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] {
-        return completed_.count(cursor_) > 0 || (done_ && cursor_ == next_ticket_);
-      });
-      const size_t limit = max < 1 ? 1 : max;
-      while (group.size() < limit) {
-        const auto it = completed_.find(cursor_);
-        if (it == completed_.end()) break;
-        group.push_back(std::move(it->second));
-        completed_.erase(it);
-        ++cursor_;
-      }
-    }
-    if (!group.empty()) cv_.notify_all();  // window space freed
-    return group;
   }
 
   // Values completed but parked behind an earlier in-flight ticket (or not

@@ -1,8 +1,7 @@
 // Lock-free single-producer/single-consumer ring buffer.
 //
 // The wait-free complement to BoundedQueue for the pipeline's hottest
-// SPSC hops (collector reader -> resolver feed, aggregator receiver ->
-// decode pool feed), where the mutex+condvar hand-off cost dominates at
+// SPSC hop (collector reader -> resolver feed), where the mutex+condvar hand-off cost dominates at
 // high event rates. Exactly ONE thread may push and exactly ONE thread
 // may pop for the ring's whole lifetime — that contract is what buys the
 // lock freedom, and it is the caller's to uphold (ThreadPool assigns one

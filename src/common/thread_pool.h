@@ -1,8 +1,7 @@
 // Fixed-size worker pool fed by one lock-free ring per worker.
 //
 // Built for pipeline stages that fan work out across records — the
-// collector's resolver stage and the aggregator's decode stage are its
-// users. Tasks receive the index of the worker that runs them
+// collector's resolver stage is its user. Tasks receive the index of the worker that runs them
 // (0..workers-1), so callers can keep strictly per-worker state (e.g. a
 // DelayBudget, whose contract is single-threaded use) without any
 // locking: worker i is one thread for the pool's whole lifetime, so state
@@ -12,10 +11,10 @@
 // pool's whole lifetime. Each worker owns an SpscRing (common/spsc.h) and
 // Submit fills the rings round-robin with an unsynchronized cursor, so a
 // second submitter would break the rings' single-producer contract. That
-// is exactly the shape of the collector's reader thread and the
-// aggregator's receiver thread, the two hottest hand-offs in the
-// pipeline; round-robin also keeps per-worker arrival order
-// deterministic, which the decode stages' reorder windows rely on.
+// is exactly the shape of the collector's reader thread, the hottest
+// hand-off in the pipeline; round-robin also keeps per-worker arrival
+// order deterministic, which the resolver stage's reorder window relies
+// on.
 //
 // Submit blocks while the chosen ring is full (backpressure) and fails
 // with kClosed after Shutdown. Shutdown drains: every task accepted

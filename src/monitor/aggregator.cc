@@ -93,37 +93,13 @@ Aggregator::Aggregator(const lustre::TestbedProfile& profile,
         if (alive.expired()) return std::nullopt;
         return static_cast<int64_t>(catalog_->QueueDepth());
       });
-  // Decode tasks accepted but not yet picked up by a worker — the ingest
-  // pipeline's backlog between the receiver and the pool.
+  // Events retained in the shard's store.
   metrics_->RegisterCallback(
-      "sdci_aggregator_ingest_pool_depth", labels,
+      "sdci_aggregator_store_events", labels,
       [alive, this]() -> std::optional<int64_t> {
         if (alive.expired()) return std::nullopt;
-        return static_cast<int64_t>(ingest_->PoolDepth());
+        return static_cast<int64_t>(catalog_->store().Size());
       });
-  // Decoded messages parked in the reorder buffer waiting for an earlier
-  // ticket (or for the sequencer to come around).
-  metrics_->RegisterCallback(
-      "sdci_aggregator_reorder_occupancy", labels,
-      [alive, this]() -> std::optional<int64_t> {
-        if (alive.expired()) return std::nullopt;
-        return static_cast<int64_t>(ingest_->ReorderOccupancy());
-      });
-  for (size_t i = 0; i < catalog_->store().shards(); ++i) {
-    // Lock stripes of the store. Historically labelled {"shard"}; in a
-    // fleet that label names the aggregator shard, so the stripe moves to
-    // {"stripe"} to keep the two axes distinct (single-aggregator series
-    // are unchanged).
-    MetricLabels stripe_labels = labels;
-    stripe_labels.emplace_back(config_.shard_count <= 1 ? "shard" : "stripe",
-                               std::to_string(i));
-    metrics_->RegisterCallback(
-        "sdci_aggregator_store_shard_events", stripe_labels,
-        [alive, this, i]() -> std::optional<int64_t> {
-          if (alive.expired()) return std::nullopt;
-          return static_cast<int64_t>(catalog_->store().ShardSize(i));
-        });
-  }
 }
 
 Aggregator::~Aggregator() {
@@ -140,9 +116,9 @@ void Aggregator::Start() {
 
 void Aggregator::Stop() {
   if (!running_.exchange(false)) return;
-  // Front-to-back: the ingest pipeline's drain empties the socket, the
-  // decode pool and the reorder buffer — only then do the hand-off queues
-  // close, so publish/store exit after emptying them. The history API
+  // Front-to-back: the ingest pipeline's drain empties the socket — only
+  // then do the hand-off queues close, so publish/store exit after
+  // emptying them. The history API
   // stops last, so it keeps answering while upstream drains.
   ingest_->StopAndDrain();
   serve_->ClosePublish();
@@ -162,11 +138,11 @@ void Aggregator::Stop() {
 void Aggregator::Crash() {
   if (!running_.exchange(false)) return;
   crashed_.store(true, std::memory_order_release);
-  // No graceful socket drain: the receiver bails at its next iteration
-  // boundary. Messages it already ticketed still flow through decode and
-  // the sequencer's checkpoint commit (see the header comment: the
-  // collector purged those records at hand-off, so they must reach the
-  // WAL). The sequencer skips the publish/store hand-off while crashed,
+  // No graceful socket drain: the receive thread bails at its next
+  // receive. Messages it already took off the socket still flow through
+  // the checkpoint commit (see the header comment: the collector purged
+  // those records at hand-off, so they must reach the WAL). It skips the
+  // publish/store hand-off while crashed,
   // and whatever the queues already held is flushed unprocessed — the
   // events a real crash would lose from process memory. (They were
   // checkpointed before becoming visible, so the next incarnation's
@@ -185,7 +161,7 @@ AggregatorStats Aggregator::Stats() const {
   // Every field reads an atomic (registry counters, the store's append
   // counter, the checkpoint's WAL totals) or a value written once at
   // construction (restored_events), so a snapshot taken while the
-  // parallel ingest path is mutating them is stale at worst, never torn.
+  // shard's threads mutate them is stale at worst, never torn.
   AggregatorStats stats;
   stats.received = received_->Get() - received_base_;
   stats.batches_received = batches_received_->Get() - batches_received_base_;
@@ -213,7 +189,7 @@ ResourceUsage Aggregator::Usage(VirtualDuration elapsed) const {
   usage.cpu_percent =
       span <= 0 ? 0
                 : 100.0 * received * ToSecondsF(profile_.aggregator_cpu_per_event) / span;
-  const double busy_seconds = ToSecondsF(ingest_->WorkerBusyTotal());
+  const double busy_seconds = ToSecondsF(ingest_->BusyTotal());
   usage.pipeline_busy_percent = span <= 0 ? 0 : 100.0 * busy_seconds / span;
   // Footprint is dominated by the local event store (as in the paper).
   usage.peak_memory_bytes = catalog_->store().memory().PeakBytes() + (1u << 20);

@@ -6,14 +6,12 @@
 // fleet"):
 //
 //   IngestPipeline (ingest_pipeline.h)
-//     receiver ── tickets ──> decode pool ──> sequencer
-//     Owns the collector-facing socket, the decode worker pool and the
-//     ticketed reorder buffer (common/reorder.h); the single sequencer
-//     assigns each batch its global_seq range and HLC stamps
-//     (common/hlc.h), group-commits to the checkpoint WAL, and hands
-//     batches to the other two roles.
+//     One receive thread owns the collector-facing socket. Per message,
+//     in arrival order, it binds the wire batch, assigns its global_seq
+//     range and HLC stamps (common/hlc.h), group-commits to the
+//     checkpoint WAL, and hands batches to the other two roles.
 //   EventCatalog (event_catalog.h)
-//     The striped rotating EventStore, the checkpoint WAL write-ahead
+//     The rotating single-lock EventStore, the checkpoint WAL write-ahead
 //     commit, and the store thread. Restores itself from the checkpoint
 //     at birth.
 //   ServePlane (serve_plane.h)
@@ -34,7 +32,6 @@
 // shards by HLC stamp.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -63,26 +60,10 @@ struct AggregatorConfig {
   size_t store_capacity = 200000;  // rotating catalog, in events
   size_t internal_queue = 65536;   // depth of the publish/store hand-off, in batches
   size_t ingest_hwm = 65536;       // collector->aggregator socket depth
-  // Ingest decode worker pool size. 1 keeps the pipeline but decodes
-  // serially (bit-for-bit the historical ordering); >1 overlaps decode
-  // latency across collector messages while the sequencer re-establishes
-  // arrival order.
-  size_t ingest_workers = 1;
-  // In-flight tickets the receiver may run ahead of the sequencer: bounds
-  // the reorder buffer (and decode queue) so a stalled commit
-  // backpressures the socket. 0 = auto: max(16, 16 * ingest_workers) —
-  // the floor keeps the serial default at its historical depth, the
-  // per-worker factor was raised from 4 to 16 after the fan-in window
-  // study (EXPERIMENTS.md): a 4-worker pool behind a 16-deep window
-  // starves under multi-collector fan-in.
-  size_t ingest_window = 0;
-  // Lock stripes in the EventStore (see EventStore). 1 == the historical
-  // single-lock store with exact rotation boundaries.
-  size_t store_shards = 1;
-  // Max consecutive ready batches the sequencer folds into one checkpoint
-  // WAL commit. Group commit is opportunistic — a lone ready batch
-  // commits immediately; the group only grows with what is already
-  // decoded — so it amortizes lock traffic without adding latency.
+  // Max collector messages the receive thread folds into one checkpoint
+  // WAL commit. Group commit is opportunistic — a lone message commits
+  // immediately; the group only grows with what is already queued on the
+  // socket — so it amortizes lock traffic without waiting for a group.
   size_t wal_group_max = 16;
   // Fleet position: this shard's index and the fleet width. The index is
   // the HLC origin (cross-shard tie-breaker) and, when shard_count > 1,
@@ -107,7 +88,7 @@ struct AggregatorConfig {
   // "[health] decode_errors=" marker line scripts/check.sh greps for.
   // Tests that feed intentionally malformed payloads raise it.
   uint64_t expected_decode_errors = 0;
-  // Test seam: runs on the sequencer thread immediately before a group of
+  // Test seam: runs on the receive thread immediately before a group of
   // `batches` batches is committed to the checkpoint WAL. Chaos tests use
   // it to line crashes up with the commit edge.
   std::function<void(size_t batches)> commit_hook;
@@ -117,13 +98,6 @@ struct AggregatorConfig {
   // the same REQ/REP socket as history). Runs on the api thread.
   std::function<std::string()> status_provider;
 
-  [[nodiscard]] size_t IngestWorkers() const noexcept {
-    return ingest_workers == 0 ? 1 : ingest_workers;
-  }
-  [[nodiscard]] size_t IngestWindow() const noexcept {
-    return ingest_window > 0 ? ingest_window
-                             : std::max<size_t>(16, 16 * IngestWorkers());
-  }
   // {"shard": "<index>"} when part of a fleet; empty (the historical
   // unlabelled series) for a single aggregator.
   [[nodiscard]] MetricLabels ShardLabels() const {
@@ -152,7 +126,7 @@ struct AggregatorStats {
 // The durable half of an aggregator deployment, owned by whoever
 // supervises it and handed to each incarnation. Models stable storage the
 // way the ChangeLog models the MDS journal: kept in memory, but with
-// write-ahead discipline — the sequencer appends every batch (and the
+// write-ahead discipline — the receive thread appends every batch (and the
 // advanced sequence watermark) *before* the batch becomes visible to the
 // publish/store threads, so any event whose global_seq was ever assigned
 // survives a crash. A restarted incarnation restores next_seq from the
@@ -210,8 +184,7 @@ class Aggregator {
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  // Starts receiver, decode pool, sequencer, publish, store and API
-  // threads. Idempotent.
+  // Starts the receive, publish, store and API threads. Idempotent.
   void Start();
 
   // Drains in-flight events, then stops and joins all threads.

@@ -54,7 +54,7 @@ struct FsEvent {
   uint64_t trace_id = 0;
   uint64_t parent_span = 0;
 
-  // Fleet-wide ordering stamp (common/hlc.h), assigned by the sequencer of
+  // Fleet-wide ordering stamp (common/hlc.h), assigned by the ingest thread of
   // the aggregator shard that sequenced the event (origin == shard index).
   // Within one shard HLC order equals global_seq order; across shards it
   // is the total order the federation layer merges by. Zero on events that

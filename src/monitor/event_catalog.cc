@@ -15,7 +15,7 @@ EventCatalog::EventCatalog(const TimeAuthority& authority,
                            const std::atomic<bool>& crashed)
     : authority_(&authority),
       checkpoint_(checkpoint),
-      store_(config.store_capacity, config.store_shards),
+      store_(config.store_capacity),
       queue_(config.internal_queue),
       tracer_(std::move(tracer)),
       crashed_(&crashed) {

@@ -1,13 +1,13 @@
 // EventCatalog: the storage role of an aggregator shard.
 //
-// Owns the shard's rotating striped EventStore, the write-ahead commit
+// Owns the shard's rotating EventStore, the write-ahead commit
 // into the (supervisor-owned) AggregatorCheckpoint, and the store thread
 // that applies committed batches to the store. At construction the
 // catalog restores itself from the checkpoint: the store replays the WAL
 // so the history API keeps answering for pre-crash events.
 //
 // The write-ahead discipline lives here: CommitGroup() runs on the
-// sequencer thread *before* the group is enqueued anywhere, so every
+// ingest receive thread *before* the group is enqueued anywhere, so every
 // assigned global_seq is durable before it is visible. The store thread
 // is downstream memory — on crash its queue is discarded, which is
 // exactly what a real process loses.
@@ -49,14 +49,14 @@ class EventCatalog {
   void DiscardQueue();
   void Join();
 
-  // Sequencer-side write-ahead commit: the whole group (and the advanced
+  // Receive-thread write-ahead commit: the whole group (and the advanced
   // watermark) reach the checkpoint before any batch becomes visible
   // downstream. No-op for a standalone (checkpoint-less) shard.
   void CommitGroup(const std::vector<EventBatch>& group, uint64_t watermark);
 
   // Hands committed batches to the store thread (blocking push:
-  // backpressure propagates to the sequencer and through it to the
-  // collectors).
+  // backpressure propagates to the receive thread and through its socket
+  // to the collectors).
   Status Enqueue(std::vector<EventBatch> batches);
 
   [[nodiscard]] const EventStore& store() const noexcept { return store_; }

@@ -4,221 +4,99 @@
 
 namespace sdci::monitor {
 
-EventStore::EventStore(size_t max_events, size_t shards)
-    : max_events_(max_events == 0 ? 1 : max_events),
-      per_shard_capacity_(std::max<size_t>(
-          1, max_events_ / (shards == 0 ? 1 : shards))) {
-  const size_t count = shards == 0 ? 1 : shards;
-  shards_.reserve(count);
-  for (size_t i = 0; i < count; ++i) shards_.push_back(std::make_unique<Shard>());
-}
+EventStore::EventStore(size_t max_events)
+    : max_events_(max_events == 0 ? 1 : max_events) {}
 
-void EventStore::NoteAppendTime(Shard& shard, VirtualTime t) {
-  if (shard.time_monotone && t < shard.last_time) shard.time_monotone = false;
-  shard.last_time = t;
-}
-
-void EventStore::RaiseFloor(uint64_t evicted_seq) {
-  // Only multi-shard stores need the floor (see the member comment);
-  // single-shard eviction is contiguous, and local stores whose events all
-  // carry global_seq 0 would otherwise filter themselves out.
-  if (shards_.size() == 1) return;
-  const uint64_t candidate = evicted_seq + 1;
-  uint64_t seen = floor_seq_.load(std::memory_order_relaxed);
-  while (seen < candidate &&
-         !floor_seq_.compare_exchange_weak(seen, candidate, std::memory_order_release,
-                                           std::memory_order_relaxed)) {
-  }
-}
-
-void EventStore::AppendToShard(size_t index, const FsEvent* events, size_t count) {
-  Shard& shard = *shards_[index];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
+void EventStore::AppendRun(const FsEvent* events, size_t count) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   for (size_t i = 0; i < count; ++i) {
     const FsEvent& event = events[i];
     memory_.Charge(event.ApproxBytes());
-    if (shard.events.empty() || event.global_seq >= shard.events.back().global_seq) {
-      NoteAppendTime(shard, event.time);
-      shard.events.push_back(event);
+    if (events_.empty() || event.global_seq >= events_.back().global_seq) {
+      if (time_monotone_ && event.time < last_time_) time_monotone_ = false;
+      last_time_ = event.time;
+      events_.push_back(event);
     } else {
-      // Concurrent appenders can deliver a lower stripe after a higher one
-      // landed; keep the shard seq-sorted so per-shard binary search and
-      // the cross-shard merge stay correct. The shard's time index cannot
-      // vouch for sorted-by-time anymore, so it drops to linear scans.
+      // A lower sequence after a higher one (concurrent appenders): keep
+      // the deque seq-sorted so Query's binary search stays correct. The
+      // time index cannot vouch for sorted-by-time anymore, so it drops to
+      // linear scans.
       const auto pos = std::upper_bound(
-          shard.events.begin(), shard.events.end(), event.global_seq,
+          events_.begin(), events_.end(), event.global_seq,
           [](uint64_t seq, const FsEvent& e) { return seq < e.global_seq; });
-      shard.events.insert(pos, event);
-      shard.time_monotone = false;
+      events_.insert(pos, event);
+      time_monotone_ = false;
     }
   }
   total_appended_.fetch_add(count, std::memory_order_relaxed);
-  while (shard.events.size() > per_shard_capacity_) {
-    memory_.Release(shard.events.front().ApproxBytes());
-    RaiseFloor(shard.events.front().global_seq);
-    shard.events.pop_front();
+  while (events_.size() > max_events_) {
+    memory_.Release(events_.front().ApproxBytes());
+    events_.pop_front();
   }
 }
 
-void EventStore::Append(FsEvent event) {
-  AppendToShard(ShardIndexFor(event.global_seq), &event, 1);
-}
+void EventStore::Append(FsEvent event) { AppendRun(&event, 1); }
 
 void EventStore::Append(const EventBatch& batch) {
-  const auto& events = batch.events();
-  // Sequences in a batch are contiguous, so consecutive events share a
-  // stripe: append run-by-run, one lock per stripe the batch spans.
-  size_t i = 0;
-  while (i < events.size()) {
-    const size_t shard = ShardIndexFor(events[i].global_seq);
-    size_t j = i + 1;
-    while (j < events.size() && ShardIndexFor(events[j].global_seq) == shard) ++j;
-    AppendToShard(shard, events.data() + i, j - i);
-    i = j;
-  }
+  AppendRun(batch.events().data(), batch.events().size());
 }
 
 void EventStore::AppendBatch(std::vector<FsEvent> events) {
-  size_t i = 0;
-  while (i < events.size()) {
-    const size_t shard = ShardIndexFor(events[i].global_seq);
-    size_t j = i + 1;
-    while (j < events.size() && ShardIndexFor(events[j].global_seq) == shard) ++j;
-    AppendToShard(shard, events.data() + i, j - i);
-    i = j;
-  }
-}
-
-void EventStore::CollectSeqRange(const Shard& shard, uint64_t from_seq,
-                                 uint64_t floor, size_t max,
-                                 std::vector<FsEvent>& out) const {
-  const uint64_t from = std::max(from_seq, floor);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  // Shard deques are seq-sorted: binary search for the first match.
-  const auto begin = std::lower_bound(
-      shard.events.begin(), shard.events.end(), from,
-      [](const FsEvent& e, uint64_t seq) { return e.global_seq < seq; });
-  for (auto it = begin; it != shard.events.end() && out.size() < max; ++it) {
-    out.push_back(*it);
-  }
-}
-
-void EventStore::CollectTimeRange(const Shard& shard, VirtualTime from,
-                                  VirtualTime to, uint64_t floor, size_t max,
-                                  std::vector<FsEvent>& out) const {
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.time_monotone) {
-    // Appends have stayed time-sorted, so the range start is a binary
-    // search and the scan stops at the first event past `to`.
-    const auto begin = std::lower_bound(
-        shard.events.begin(), shard.events.end(), from,
-        [](const FsEvent& e, VirtualTime t) { return e.time < t; });
-    for (auto it = begin; it != shard.events.end() && it->time < to; ++it) {
-      if (out.size() >= max) break;
-      if (it->global_seq < floor) continue;
-      out.push_back(*it);
-    }
-    return;
-  }
-  for (const FsEvent& event : shard.events) {
-    if (out.size() >= max) break;
-    if (event.global_seq < floor) continue;
-    if (event.time >= from && event.time < to) out.push_back(event);
-  }
-}
-
-std::vector<FsEvent> EventStore::MergeBySeq(std::vector<std::vector<FsEvent>> runs,
-                                            size_t max) {
-  if (runs.size() == 1) {
-    if (runs[0].size() > max) runs[0].resize(max);
-    return std::move(runs[0]);
-  }
-  std::vector<FsEvent> out;
-  std::vector<size_t> cursor(runs.size(), 0);
-  while (out.size() < max) {
-    size_t best = runs.size();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (cursor[r] >= runs[r].size()) continue;
-      if (best == runs.size() ||
-          runs[r][cursor[r]].global_seq < runs[best][cursor[best]].global_seq) {
-        best = r;
-      }
-    }
-    if (best == runs.size()) break;
-    out.push_back(std::move(runs[best][cursor[best]]));
-    ++cursor[best];
-  }
-  return out;
-}
-
-uint64_t EventStore::FirstAvailableSeq() const {
-  const uint64_t floor = Floor();
-  uint64_t first = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = std::lower_bound(
-        shard.events.begin(), shard.events.end(), floor,
-        [](const FsEvent& e, uint64_t seq) { return e.global_seq < seq; });
-    if (it == shard.events.end()) continue;
-    if (first == 0 || it->global_seq < first) first = it->global_seq;
-  }
-  return first;
+  AppendRun(events.data(), events.size());
 }
 
 std::vector<FsEvent> EventStore::Query(uint64_t from_seq, size_t max,
                                        uint64_t* first_available) const {
-  if (first_available != nullptr) *first_available = FirstAvailableSeq();
-  const uint64_t floor = Floor();
-  std::vector<std::vector<FsEvent>> runs;
-  runs.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::vector<FsEvent> run;
-    CollectSeqRange(*shard, from_seq, floor, max, run);
-    runs.push_back(std::move(run));
+  std::vector<FsEvent> out;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (first_available != nullptr) {
+    *first_available = events_.empty() ? 0 : events_.front().global_seq;
   }
-  return MergeBySeq(std::move(runs), max);
+  const auto begin = std::lower_bound(
+      events_.begin(), events_.end(), from_seq,
+      [](const FsEvent& e, uint64_t seq) { return e.global_seq < seq; });
+  for (auto it = begin; it != events_.end() && out.size() < max; ++it) {
+    out.push_back(*it);
+  }
+  return out;
 }
 
 std::vector<FsEvent> EventStore::QueryTimeRange(VirtualTime from, VirtualTime to,
                                                 size_t max) const {
-  const uint64_t floor = Floor();
-  std::vector<std::vector<FsEvent>> runs;
-  runs.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::vector<FsEvent> run;
-    CollectTimeRange(*shard, from, to, floor, max, run);
-    runs.push_back(std::move(run));
+  std::vector<FsEvent> out;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (time_monotone_) {
+    // Appends have stayed time-sorted, so the range start is a binary
+    // search and the scan stops at the first event past `to`.
+    const auto begin = std::lower_bound(
+        events_.begin(), events_.end(), from,
+        [](const FsEvent& e, VirtualTime t) { return e.time < t; });
+    for (auto it = begin; it != events_.end() && it->time < to; ++it) {
+      if (out.size() >= max) break;
+      out.push_back(*it);
+    }
+    return out;
   }
-  return MergeBySeq(std::move(runs), max);
+  for (const FsEvent& event : events_) {
+    if (out.size() >= max) break;
+    if (event.time >= from && event.time < to) out.push_back(event);
+  }
+  return out;
 }
 
-uint64_t EventStore::FirstSeq() const { return FirstAvailableSeq(); }
+uint64_t EventStore::FirstSeq() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return events_.empty() ? 0 : events_.front().global_seq;
+}
 
 uint64_t EventStore::LastSeq() const {
-  uint64_t last = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!shard.events.empty()) last = std::max(last, shard.events.back().global_seq);
-  }
-  return last;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return events_.empty() ? 0 : events_.back().global_seq;
 }
 
 size_t EventStore::Size() const {
-  size_t size = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    size += shard.events.size();
-  }
-  return size;
-}
-
-size_t EventStore::ShardSize(size_t shard) const {
-  if (shard >= shards_.size()) return 0;
-  const std::lock_guard<std::mutex> lock(shards_[shard]->mutex);
-  return shards_[shard]->events.size();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return events_.size();
 }
 
 EventWal::EventWal(size_t max_events) : max_events_(max_events == 0 ? 1 : max_events) {}

@@ -6,21 +6,15 @@
 // sequence lets a consumer that crashed re-fetch everything it missed, as
 // long as it comes back before its gap rotates out.
 //
-// The store is lock-striped: events land in `shards` independent shards
-// keyed by contiguous global_seq stripes (kSeqStripe sequences per
-// stripe, round-robin across shards), each with its own mutex, deque and
-// time-monotonicity flag. Appends from the aggregator's parallel ingest
-// path therefore do not serialize against history-API reads that touch
-// other shards; cross-shard queries snapshot each shard (binary-search
-// fast path per shard) and k-way merge by global_seq. With the default
-// shards == 1 the behavior is exactly the historical single-lock store —
-// same rotation boundaries, same query results.
+// One mutex guards one deque ordered by global_seq. Appends come from a
+// single store thread per shard (plus the WAL replay at restore), so the
+// lock only ever contends with history-API reads; the fleet scales by
+// adding shards, each with its own store, rather than by striping one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -31,17 +25,13 @@ namespace sdci::monitor {
 
 class EventStore {
  public:
-  // `shards` == 0 is treated as 1. Capacity is split evenly across shards
-  // (each shard rotates independently at max_events / shards).
-  explicit EventStore(size_t max_events, size_t shards = 1);
+  explicit EventStore(size_t max_events);
 
   void Append(FsEvent event);
 
-  // Batch appends: the batch's seq-contiguous runs map to consecutive
-  // stripes, so a batch takes one lock acquisition per stripe it spans
-  // (one total in the single-shard configuration). This is the
-  // aggregator's store path (and the centralized baseline's), so the store
-  // keeps up with batched ingest without per-event lock traffic.
+  // Batch appends take the lock once per batch. This is the aggregator's
+  // store path (and the centralized baseline's), so the store keeps up
+  // with batched ingest without per-event lock traffic.
   void Append(const EventBatch& batch);
   void AppendBatch(std::vector<FsEvent> events);
 
@@ -54,9 +44,9 @@ class EventStore {
   // Events with time in [from, to), up to max, ordered by global_seq. The
   // store's appends are timestamp-monotone in practice (the collector
   // publishes in ChangeLog order; the aggregator assigns sequences in
-  // arrival order), which makes the range start a binary search per
-  // shard; a shard that ever observes an out-of-order append falls back
-  // to a linear scan permanently (the other shards keep their fast path).
+  // arrival order), which makes the range start a binary search; a store
+  // that ever observes an out-of-order append falls back to a linear scan
+  // permanently.
   [[nodiscard]] std::vector<FsEvent> QueryTimeRange(VirtualTime from, VirtualTime to,
                                                     size_t max) const;
 
@@ -67,62 +57,19 @@ class EventStore {
     return total_appended_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] size_t max_events() const noexcept { return max_events_; }
-  [[nodiscard]] size_t shards() const noexcept { return shards_.size(); }
-  // Retained events in one shard (scrape-time gauge fodder).
-  [[nodiscard]] size_t ShardSize(size_t shard) const;
 
   [[nodiscard]] const MemoryAccountant& memory() const noexcept { return memory_; }
 
  private:
-  // Sequences map to shards in contiguous stripes so one batch lands in
-  // few shards: shard = (seq / kSeqStripe) % shards.
-  static constexpr uint64_t kSeqStripe = 64;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::deque<FsEvent> events;  // ordered by global_seq
-    bool time_monotone = true;
-    VirtualTime last_time{};
-  };
-
-  [[nodiscard]] size_t ShardIndexFor(uint64_t seq) const noexcept {
-    return shards_.size() == 1
-               ? 0
-               : static_cast<size_t>((seq / kSeqStripe) % shards_.size());
-  }
-
-  // Appends into one shard (caller groups events by shard); handles
-  // out-of-order insertion, rotation and the eviction floor.
-  void AppendToShard(size_t index, const FsEvent* events, size_t count);
-  void NoteAppendTime(Shard& shard, VirtualTime t);
-  // Raises floor_seq_ to `seq + 1` (monotone) when `seq` is evicted.
-  void RaiseFloor(uint64_t evicted_seq);
-  [[nodiscard]] uint64_t Floor() const noexcept {
-    return floor_seq_.load(std::memory_order_acquire);
-  }
-  // Oldest retained sequence at or above the eviction floor, 0 when empty.
-  [[nodiscard]] uint64_t FirstAvailableSeq() const;
-  // Per-shard collection of up to `max` matches, merged by the caller.
-  void CollectSeqRange(const Shard& shard, uint64_t from_seq, uint64_t floor,
-                       size_t max, std::vector<FsEvent>& out) const;
-  void CollectTimeRange(const Shard& shard, VirtualTime from, VirtualTime to,
-                        uint64_t floor, size_t max, std::vector<FsEvent>& out) const;
-  // k-way merge of per-shard seq-sorted runs, truncated to max.
-  [[nodiscard]] static std::vector<FsEvent> MergeBySeq(
-      std::vector<std::vector<FsEvent>> runs, size_t max);
+  // Appends under the lock; handles out-of-order insertion and rotation.
+  void AppendRun(const FsEvent* events, size_t count);
 
   const size_t max_events_;
-  const size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::deque<FsEvent> events_;  // ordered by global_seq
+  bool time_monotone_ = true;
+  VirtualTime last_time_{};
   std::atomic<uint64_t> total_appended_{0};
-  // One past the highest sequence ever evicted, across all shards. With
-  // stripe-sharded rotation, shards can evict unevenly; queries filter
-  // everything below this floor so results never contain a mid-range hole
-  // (a gap a backfilling consumer would misread as permanently lost data
-  // ahead of first_available). Single-shard stores evict contiguously from
-  // the front and never need the floor (and local stores whose events all
-  // carry global_seq 0 must not be filtered by it), so it stays 0 there.
-  std::atomic<uint64_t> floor_seq_{0};
   MemoryAccountant memory_;
 };
 
@@ -139,8 +86,8 @@ class EventWal {
   void Append(const EventBatch& batch);
 
   // Group commit: every batch in the group becomes durable under one lock
-  // acquisition — concurrent sequencer groups amortize write-ahead cost,
-  // and a crash can never observe half of a group (the WAL either has all
+  // acquisition — a backlog of collector messages pays the write-ahead
+  // cost once per group, and a crash can never observe half of a group (the WAL either has all
   // of a group's batches or none of them).
   void AppendGroup(const std::vector<EventBatch>& batches);
 

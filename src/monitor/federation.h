@@ -4,8 +4,8 @@
 // Shards are independent — disjoint MDTs, dense per-shard global_seq,
 // separate publish/history endpoints — so cross-shard ordering needs a
 // clock the shards share. That clock is the HLC stamp (common/hlc.h)
-// every shard's sequencer assigns: within a shard HLC order equals
-// sequence order (one single-threaded sequencer assigns both), and across
+// every shard's ingest thread assigns: within a shard HLC order equals
+// sequence order (one thread assigns both), and across
 // shards the origin field (== shard index) breaks wall/logical ties, so
 // HLC comparison is a total order over the whole fleet. Both federated
 // views here are exact k-way merges by that stamp:

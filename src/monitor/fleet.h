@@ -4,10 +4,10 @@
 // its bottleneck. The fleet scales the role out the way Lustre scales
 // metadata out (DNE round-robins directories across MDTs): collectors are
 // keyed by the MDS group they watch — shard = mdt % shards — so each
-// shard ingests a disjoint subset of MDTs and runs its own sequencer,
+// shard ingests a disjoint subset of MDTs and runs its own ingest thread,
 // checkpoint WAL, store and endpoints. Per-shard global_seq stays dense
 // (gap detection and backfill keep working unchanged per shard); the HLC
-// stamp every sequencer assigns (origin == shard index) gives the
+// stamp every shard's ingest thread assigns (origin == shard index) gives the
 // federation layer (federation.h) a total order to merge live streams and
 // history pages across shards.
 //

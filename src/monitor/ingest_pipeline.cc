@@ -1,5 +1,8 @@
 #include "monitor/ingest_pipeline.h"
 
+#include <optional>
+#include <string_view>
+
 #include "monitor/event_catalog.h"
 #include "monitor/serve_plane.h"
 #include "monitor/wire_v4.h"
@@ -25,7 +28,7 @@ IngestPipeline::IngestPipeline(const lustre::TestbedProfile& profile,
       config_(&config),
       catalog_(&catalog),
       serve_(&serve),
-      reorder_(config.IngestWindow()),
+      budget_(authority),
       hlc_(static_cast<uint32_t>(config.shard_index)),
       instruments_(std::move(instruments)),
       tracer_(std::move(tracer)),
@@ -58,7 +61,7 @@ IngestPipeline::IngestPipeline(const lustre::TestbedProfile& profile,
   }
   if (config.flow != nullptr) {
     FlowLedger& flow = *config.flow;
-    // The sequencer's event count is the "in" side of every downstream
+    // The sequenced event count is the "in" side of every downstream
     // boundary: each sequenced event must end up committed (WAL), stored
     // and published — or explicitly discarded by a crash.
     if (attachments.checkpoint != nullptr) {
@@ -79,41 +82,12 @@ IngestPipeline::IngestPipeline(const lustre::TestbedProfile& profile,
 }
 
 void IngestPipeline::Start() {
-  {
-    const std::lock_guard<std::mutex> lock(pool_mutex_);
-    // The receiver thread is the pool's only submitter (ThreadPool's
-    // single-submitter rule).
-    pool_ = std::make_unique<ThreadPool>(config_->IngestWorkers(),
-                                         config_->IngestWindow());
-    worker_budgets_.clear();
-    for (size_t i = 0; i < config_->IngestWorkers(); ++i) {
-      worker_budgets_.push_back(std::make_unique<DelayBudget>(*authority_));
-    }
-  }
-  reorder_.Reopen();
-  receive_thread_ =
-      std::jthread([this](const std::stop_token& stop) { ReceiveLoop(stop); });
-  sequencer_thread_ = std::jthread([this] { SequencerLoop(); });
+  thread_ = std::jthread([this](const std::stop_token& stop) { ReceiveLoop(stop); });
 }
 
 void IngestPipeline::StopAndDrain() {
-  receive_thread_.request_stop();
-  if (receive_thread_.joinable()) receive_thread_.join();
-  if (pool_ != nullptr) pool_->Shutdown();
-  reorder_.MarkDone();
-  if (sequencer_thread_.joinable()) sequencer_thread_.join();
-}
-
-size_t IngestPipeline::PoolDepth() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  return pool_ != nullptr ? pool_->QueueDepth() : 0;
-}
-
-VirtualDuration IngestPipeline::WorkerBusyTotal() const {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
-  VirtualDuration total{};
-  for (const auto& budget : worker_budgets_) total += budget->TotalCharged();
-  return total;
+  thread_.request_stop();
+  if (thread_.joinable()) thread_.join();
 }
 
 void IngestPipeline::ReceiveLoop(const std::stop_token& stop) {
@@ -121,14 +95,23 @@ void IngestPipeline::ReceiveLoop(const std::stop_token& stop) {
     if (sub_ != nullptr) return sub_->ReceiveFor(kPollQuantum);
     return pull_->PullFor(kPollQuantum);
   };
+  // Non-blocking: only what is already queued on the socket.
+  const auto take_queued = [&]() -> std::optional<msgq::Message> {
+    if (sub_ != nullptr) return sub_->TryReceive();
+    auto message = pull_->PullFor(std::chrono::nanoseconds::zero());
+    if (!message.ok()) return std::nullopt;
+    return std::move(message.value());
+  };
+  const size_t group_max = config_->wal_group_max == 0 ? 1 : config_->wal_group_max;
+  std::vector<BoundMessage> group;
   // After stop is requested, keep draining until the socket runs dry so
   // collector flushes are not lost.
   int idle_rounds_after_stop = 0;
   while (true) {
     // The crash point sits *before* receive: once a message is popped off
-    // the (incarnation-surviving) ingest socket it is ticketed and runs
-    // through the checkpoint commit, because the collector purged its
-    // records when the socket accepted the hand-off.
+    // the (incarnation-surviving) ingest socket it runs through the
+    // checkpoint commit, because the collector purged its records when
+    // the socket accepted the hand-off.
     if (crashed_->load(std::memory_order_acquire)) break;
     auto message = receive();
     if (!message.ok()) {
@@ -137,80 +120,65 @@ void IngestPipeline::ReceiveLoop(const std::stop_token& stop) {
       continue;
     }
     idle_rounds_after_stop = 0;
-    // Window backpressure: never run more than IngestWindow() tickets
-    // ahead of the sequencer, so a stalled commit pushes back on the
-    // socket (and through it, the collectors) instead of buffering decoded
-    // batches without bound. The wait is non-interruptible — the sequencer
-    // keeps releasing tickets during a crash, so it always makes progress,
-    // and this message must not be dropped.
-    const uint64_t ticket = reorder_.Acquire();
-    (void)pool_->Submit(
-        [this, ticket, message = std::move(message.value())](size_t worker) mutable {
-          DecodeTask(ticket, std::move(message), worker);
-        });
+    group.clear();
+    group.emplace_back();
+    if (!Decode(*message, group.back())) group.pop_back();
+    // Opportunistic group commit: fold in whatever is already queued (up
+    // to wal_group_max messages). A lone message goes through alone — the
+    // group never waits to fill. A blocked commit or hand-off leaves the
+    // socket to fill, which pushes back on the collectors.
+    for (size_t taken = 1;
+         taken < group_max && !crashed_->load(std::memory_order_acquire); ++taken) {
+      auto queued = take_queued();
+      if (!queued.has_value()) break;
+      group.emplace_back();
+      if (!Decode(*queued, group.back())) group.pop_back();
+    }
+    if (!group.empty()) SequenceAndCommit(group);
   }
 }
 
-void IngestPipeline::DecodeTask(uint64_t ticket, msgq::Message message,
-                                size_t worker) {
-  DecodedMessage out;
-  out.decode_start = tracer_ != nullptr ? authority_->Now() : VirtualTime{};
+bool IngestPipeline::Decode(const msgq::Message& message, BoundMessage& out) {
+  const VirtualTime decode_start = tracer_ != nullptr ? authority_->Now() : VirtualTime{};
   // One byte copy into a private mutable buffer (the socket payload is
   // shared with other subscribers, so it cannot be patched in place), then
   // validation is a header + offset-table scan — no FsEvent is
-  // materialized anywhere in this pipeline. The sequencer later stamps
-  // global_seq / HLC straight into the buffer and freezes it as the
-  // publish payload. Zero-event payloads are hostile (the wire contract is
-  // >= 1 event) and counted with the malformed ones.
+  // materialized anywhere in this pipeline. Zero-event payloads are
+  // hostile (the wire contract is >= 1 event) and counted with the
+  // malformed ones.
   const std::string_view bytes = message.bytes();
   out.payload.assign(bytes.data(), bytes.size());
   auto view = wire::EventBatchView::Bind(out.payload);
-  if (view.ok() && !view->empty()) {
-    const size_t count = view->size();
-    out.count = static_cast<uint32_t>(count);
-    out.last_time = view->time(count - 1);
-    if (wm_decode_ != nullptr) wm_decode_->Advance(out.last_time);
-    // The modeled per-event ingest cost lands on this worker's budget:
-    // with N workers the latency overlaps N-ways, which is exactly the
-    // concurrency the decode pool exists to buy.
-    DelayBudget& budget = *worker_budgets_[worker];
-    budget.Charge(profile_.aggregator_ingest_latency * static_cast<int64_t>(count));
-    budget.Flush();
-    if (tracer_ != nullptr) {
-      // Each traced event gets a decode span hung off the collector's
-      // publish span; the sequencer re-parents the event onto its ingest
-      // span next, keeping the chain publish -> decode -> ingest.
-      out.decode_end = authority_->Now();
-      wire::MutableBatchV4 mut(out.payload);
-      for (size_t i = 0; i < count; ++i) {
-        const uint64_t trace_id = view->trace_id(i);
-        if (trace_id == 0) continue;
-        const uint64_t span_id = tracer_->NewSpanId();
-        tracer_->RecordSpan({trace_id, span_id, view->parent_span(i),
-                             std::string(trace::kAggregatorDecode), "aggregator",
-                             out.decode_start, out.decode_end - out.decode_start});
-        mut.SetParentSpan(i, span_id);
-      }
+  if (!view.ok() || view->empty()) {
+    instruments_.decode_errors->Add();
+    return false;
+  }
+  const size_t count = view->size();
+  out.count = static_cast<uint32_t>(count);
+  out.last_time = view->time(count - 1);
+  if (wm_decode_ != nullptr) wm_decode_->Advance(out.last_time);
+  budget_.Charge(profile_.aggregator_ingest_latency * static_cast<int64_t>(count));
+  budget_.Flush();
+  if (tracer_ != nullptr) {
+    // Each traced event gets a decode span hung off the collector's
+    // publish span; sequencing re-parents the event onto its ingest span
+    // next, keeping the chain publish -> decode -> ingest.
+    const VirtualTime decode_end = authority_->Now();
+    wire::MutableBatchV4 mut(out.payload);
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t trace_id = view->trace_id(i);
+      if (trace_id == 0) continue;
+      const uint64_t span_id = tracer_->NewSpanId();
+      tracer_->RecordSpan({trace_id, span_id, view->parent_span(i),
+                           std::string(trace::kAggregatorDecode), "aggregator",
+                           decode_start, decode_end - decode_start});
+      mut.SetParentSpan(i, span_id);
     }
-  } else {
-    out.payload.clear();  // malformed; released as a decode error
   }
-  reorder_.Complete(ticket, std::move(out));
+  return true;
 }
 
-void IngestPipeline::SequencerLoop() {
-  // Opportunistic group commit: fold every already-decoded consecutive
-  // ticket (up to wal_group_max) into one release. A lone ready ticket
-  // goes through alone — the group never waits to fill.
-  const size_t group_max = config_->wal_group_max == 0 ? 1 : config_->wal_group_max;
-  while (true) {
-    auto group = reorder_.TakeGroup(group_max);
-    if (group.empty()) break;  // drained and done
-    SequenceAndCommit(std::move(group));
-  }
-}
-
-void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
+void IngestPipeline::SequenceAndCommit(std::vector<BoundMessage>& group) {
   // Traced events re-parent onto this stage's ingest span before their
   // batch freezes, so the published wire bytes (and the JSON the history
   // API serves) carry the aggregator-side span to hang consumers off.
@@ -224,17 +192,12 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
   uint64_t watermark = 0;
   uint64_t group_events = 0;       // ledger: events sequenced this group
   VirtualTime group_newest{};      // newest birth time this group
-  for (DecodedMessage& item : group) {
-    if (item.count == 0) {
-      instruments_.decode_errors->Add();
-      continue;
-    }
+  for (BoundMessage& item : group) {
     const uint64_t count = item.count;
     const VirtualTime now = authority_->Now();
-    // One sequence range per batch, assigned in arrival (ticket) order by
-    // this single sequencer: one atomic op instead of one per event, and
-    // global_seq stays monotone in publication order no matter how many
-    // decode workers raced ahead.
+    // One sequence range per batch, assigned in arrival order by the one
+    // receive thread: one atomic op instead of one per event, and
+    // global_seq stays monotone in publication order.
     const uint64_t base = next_seq_.fetch_add(count, std::memory_order_relaxed);
     watermark = base + count;
     // Stamp-in-place: global_seq and the HLC stamp land at fixed offsets in
@@ -269,9 +232,9 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
     }
     auto bound = EventBatch::FromPayload(std::move(item.payload));
     if (!bound.ok()) {
-      // Unreachable by construction (the decode stage validated these bytes
-      // and only fixed-offset fields changed), but never let a malformed
-      // buffer past the sequencer.
+      // Unreachable by construction (Decode validated these bytes and only
+      // fixed-offset fields changed), but never let a malformed buffer
+      // downstream.
       instruments_.decode_errors->Add();
       continue;
     }
@@ -324,7 +287,7 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
     if (discarded_publish_ != nullptr) discarded_publish_->Add(group_events);
     return;
   }
-  // Hand off to both downstream threads, in ticket order. Blocking pushes
+  // Hand off to both downstream threads, in arrival order. Blocking pushes
   // propagate backpressure to the collectors ("no loss of events once
   // they have been processed"). The publish side gets type-homogeneous
   // sub-batches so per-type topics keep working. One bulk push per queue

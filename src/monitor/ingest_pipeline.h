@@ -1,33 +1,31 @@
 // IngestPipeline: the ingest role of an aggregator shard.
 //
-//   receiver ── tickets ──> decode pool (ingest_workers) ──> sequencer
+//   socket ──> receive thread: bind ─> charge ─> stamp ─> WAL ─> hand-off
 //
-// The receiver pops collector messages off the shard's socket and stamps
-// each with a ticket (its arrival order, via the shared ReorderBuffer);
-// a worker pool decodes payloads and extracts trace context concurrently;
-// a single cheap sequencer releases tickets in arrival order, assigns
-// each batch its global_seq range plus its HLC stamp (common/hlc.h,
-// origin == shard index), group-commits up to wal_group_max consecutive
-// batches to the checkpoint WAL under one lock acquisition
-// (EventCatalog::CommitGroup), and hands the batches to the serve plane
-// and the catalog's store thread. Every externally visible contract of
-// the serial loop is preserved: global_seq is monotone in arrival order,
-// publication order matches sequence order, and the write-ahead
-// discipline (WAL before visibility, watermark after the group commits)
-// keeps the crash/backfill semantics intact.
+// One receive thread handles each collector message end to end, in
+// arrival order. It copies the payload into a private buffer and binds
+// it (wire v4 validation is an O(n) header and offset-table scan), pays
+// the modeled per-event ingest latency on its DelayBudget, stamps each
+// event's global_seq and HLC (common/hlc.h, origin == shard index) in
+// place, group-commits to the checkpoint WAL (EventCatalog::CommitGroup)
+// and hands the batches to the serve plane and the catalog's store
+// thread. Group commit is opportunistic: after one message, the thread
+// takes whatever is already queued on the socket, up to wal_group_max,
+// and commits it as one group; a lone message commits alone. Because one
+// thread assigns sequences and publishes, global_seq is monotone in
+// arrival order and publication order matches sequence order; the
+// write-ahead discipline (WAL before visibility, watermark after the
+// group commits) keeps the crash/backfill semantics intact.
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/hlc.h"
 #include "common/metrics.h"
-#include "common/reorder.h"
-#include "common/thread_pool.h"
 #include "common/tracing.h"
 #include "lustre/profile.h"
 #include "monitor/aggregator.h"
@@ -61,49 +59,42 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  // Spawns the decode pool, the receiver and the sequencer.
+  // Spawns the receive thread.
   void Start();
-  // Stops ingestion front-to-back: the receiver's final drain empties the
-  // socket, the pool shutdown drains every accepted decode task, and the
-  // sequencer exits once it has released every assigned ticket. During a
-  // crash the receiver bails at its next iteration boundary instead, but
-  // ticketed messages still flow through the checkpoint commit (see
-  // Aggregator::Crash).
+  // Stops ingestion: the receive thread keeps draining until the socket
+  // runs dry, then exits. During a crash it bails at its next receive
+  // instead, but every message it already took off the socket still runs
+  // through the checkpoint commit (see Aggregator::Crash).
   void StopAndDrain();
 
   // Sequence that will be assigned to the next ingested event.
   [[nodiscard]] uint64_t NextSeq() const noexcept {
     return next_seq_.load(std::memory_order_relaxed);
   }
-  // Scrape-time depths.
-  [[nodiscard]] size_t PoolDepth() const;
-  [[nodiscard]] size_t ReorderOccupancy() const { return reorder_.Occupancy(); }
-  // Sum of per-worker modeled busy time (Usage accounting).
-  [[nodiscard]] VirtualDuration WorkerBusyTotal() const;
+  // Modeled ingest time charged so far (Usage accounting).
+  [[nodiscard]] VirtualDuration BusyTotal() const noexcept {
+    return budget_.TotalCharged();
+  }
 
  private:
-  // One collector message after the decode stage, keyed by ticket in the
-  // sequencer's reorder buffer. A message never decodes into FsEvents
-  // here: the validated wire bytes travel in `payload` (mutable — the
-  // sequencer stamps global_seq / HLC straight into the fixed-offset
-  // fields). `count` == 0 marks a malformed or zero-event payload, counted
-  // as a decode error when the ticket is released, so the error counter
-  // stays in arrival order too.
-  struct DecodedMessage {
-    std::string payload;          // flat v4 batch; empty when malformed
-    uint32_t count = 0;           // events in `payload`
-    VirtualTime last_time{};      // newest event birth time in the message
-    VirtualTime decode_start{};
-    VirtualTime decode_end{};
+  // One bound collector message. The validated wire bytes travel in
+  // `payload`, mutable so the sequencing step can stamp global_seq / HLC
+  // straight into the fixed-offset fields; no FsEvent is materialized.
+  struct BoundMessage {
+    std::string payload;
+    uint32_t count = 0;        // events in `payload`
+    VirtualTime last_time{};   // newest event birth time in the message
   };
 
   void ReceiveLoop(const std::stop_token& stop);
-  void DecodeTask(uint64_t ticket, msgq::Message message, size_t worker);
-  void SequencerLoop();
+  // Copies, binds and charges one message and records its decode spans.
+  // Malformed and zero-event payloads count as decode errors and yield
+  // false.
+  bool Decode(const msgq::Message& message, BoundMessage& out);
   // Assigns sequence ranges and HLC stamps, records ingest spans,
   // group-commits to the checkpoint and hands the batches downstream.
-  // `group` is consecutive tickets in arrival order.
-  void SequenceAndCommit(std::vector<DecodedMessage> group);
+  // `group` is consecutive messages in arrival order.
+  void SequenceAndCommit(std::vector<BoundMessage>& group);
 
   lustre::TestbedProfile profile_;
   const TimeAuthority* authority_;
@@ -114,20 +105,11 @@ class IngestPipeline {
   std::shared_ptr<msgq::SubSocket> sub_;
   std::shared_ptr<msgq::PullSocket> pull_;
 
-  // Ticketed reorder state between receiver, decode workers and the
-  // sequencer (common/reorder.h — the PR 4 collector pattern, extracted).
-  ReorderBuffer<DecodedMessage> reorder_;
-  // Guards pool_ / worker_budgets_ (re)creation against scrape-time reads.
-  mutable std::mutex pool_mutex_;
-  std::unique_ptr<ThreadPool> pool_;  // created in Start()
-  // One budget per decode worker (DelayBudget is single-threaded): the
-  // modeled per-event ingest latency accrues per worker, so it overlaps
-  // across workers exactly like the real decode work would.
-  std::vector<std::unique_ptr<DelayBudget>> worker_budgets_;
-
-  std::atomic<uint64_t> next_seq_{1};
-  // Sequencer-thread-only: the shard's HLC clock (origin == shard index).
+  // Receive-thread-only state (TotalCharged is safe to read anywhere).
+  // The budget prices aggregator_ingest_latency per event.
+  DelayBudget budget_;
   HlcClock hlc_;
+  std::atomic<uint64_t> next_seq_{1};
 
   Instruments instruments_;
   std::shared_ptr<trace::Tracer> tracer_;
@@ -142,8 +124,7 @@ class IngestPipeline {
   std::shared_ptr<StageWatermark> wm_ingest_;
   std::shared_ptr<StageWatermark> wm_commit_;
 
-  std::jthread receive_thread_;
-  std::jthread sequencer_thread_;
+  std::jthread thread_;
 };
 
 }  // namespace sdci::monitor

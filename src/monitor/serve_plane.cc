@@ -69,7 +69,7 @@ void ServePlane::PublishLoop() {
   while (true) {
     // Bulk pop: under collector fan-in the queue runs non-empty, and taking
     // everything available in one lock acquisition keeps this loop off the
-    // sequencer's critical path. Crash semantics are per batch below.
+    // ingest thread's critical path. Crash semantics are per batch below.
     auto batches = queue_.PopAll(kBulkPop);
     if (!batches.ok()) break;  // closed and drained
     for (EventBatch& batch : *batches) {

@@ -1,10 +1,10 @@
 // ServePlane: the consumer-facing role of an aggregator shard.
 //
-// Owns the live PUB fan-out (one publish thread draining the sequencer's
-// hand-off queue in sequence order) and the history/range REQ/REP API
-// (one api thread answering out of the shard's EventCatalog). Publication
-// order matches sequence order because the single sequencer enqueues in
-// ticket order and the single publish thread drains FIFO — the exact
+// Owns the live PUB fan-out (one publish thread draining the ingest
+// thread's hand-off queue in sequence order) and the history/range
+// REQ/REP API (one api thread answering out of the shard's EventCatalog).
+// Publication order matches sequence order because the one ingest thread
+// enqueues in arrival order and the single publish thread drains FIFO — the exact
 // contract RecoveringSubscriber's gap detection is built on.
 #pragma once
 

@@ -24,7 +24,7 @@
 // total) that validation enforces before any view is handed out.
 //
 // Because global_seq, the HLC stamp and the trace parent live at fixed
-// offsets in EventRecordV4, the aggregator's sequencer stamps them
+// offsets in EventRecordV4, the aggregator's ingest thread stamps them
 // directly into the received bytes (MutableBatchV4) instead of decoding
 // and re-encoding the batch — the zero-copy ingest path.
 //
@@ -84,21 +84,21 @@ struct BatchHeaderV4 {
 struct EventRecordV4 {
   // 8-byte fields first, then 4-byte: natural packing, zero padding.
   uint64_t record_index;
-  uint64_t global_seq;   // patched in place by the sequencer
+  uint64_t global_seq;   // patched in place at ingest
   int64_t time_ns;
   uint64_t target_seq;
   uint64_t parent_seq;
   uint64_t trace_id;
   uint64_t parent_span;  // patched in place by traced stages
-  int64_t hlc_wall_ns;   // patched in place by the sequencer
+  int64_t hlc_wall_ns;   // patched in place at ingest
   uint32_t mdt_index;
   uint32_t flags;
   uint32_t target_oid;
   uint32_t target_ver;
   uint32_t parent_oid;
   uint32_t parent_ver;
-  uint32_t hlc_logical;  // patched in place by the sequencer
-  uint32_t hlc_origin;   // patched in place by the sequencer
+  uint32_t hlc_logical;  // patched in place at ingest
+  uint32_t hlc_origin;   // patched in place at ingest
   uint32_t type;         // lustre::ChangeLogType, validated <= kAtime
   uint32_t reserved;
 };
@@ -215,7 +215,7 @@ class EventBatchView {
   uint32_t count_;
 };
 
-// In-place patching of the sequencer-owned fields of a v4 payload the
+// In-place patching of the ingest-owned fields of a v4 payload the
 // caller has already validated (and exclusively owns — typically the
 // mutable buffer between decode-validate and publish-freeze). This is how
 // ingest stamps global_seq / HLC / trace parents without a decode+encode

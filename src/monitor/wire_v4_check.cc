@@ -52,8 +52,8 @@ static_assert(kEventStride == 104);
 // An empty batch is exactly header + the single terminating offset.
 static_assert(kHeaderSize + 4 == 36);
 
-// The patch targets the sequencer writes through MutableBatchV4 must be
-// naturally sized (one store each).
+// The patch targets the ingest thread writes through MutableBatchV4 must
+// be naturally sized (one store each).
 static_assert(sizeof(BatchHeaderV4{}.count) == 4);
 static_assert(sizeof(EventRecordV4{}.global_seq) == 8);
 static_assert(sizeof(EventRecordV4{}.parent_span) == 8);

@@ -1,10 +1,10 @@
-// The sharded aggregator hot path: parallel ingest decode behind a
-// ticketed sequencer, the lock-striped event store, and the group-commit
-// checkpoint WAL. These tests drive the configuration knobs past their
-// defaults (ingest_workers > 1, store_shards > 1) and assert the serial
-// loop's externally visible contracts still hold: global_seq monotone in
-// publication order, decode errors counted in arrival order, write-ahead
-// before visibility, and Stats() snapshots that are never torn.
+// The aggregator shard's ingest path: one receive thread binds, sequences
+// and group-commits each collector message to the checkpoint WAL, then
+// hands it to the store and publish threads. These tests feed it from
+// several concurrent publishers and assert its externally visible
+// contracts: global_seq monotone in publication order, decode errors
+// counted exactly, write-ahead before visibility, group commit folding a
+// backlog, and Stats() snapshots that are never torn.
 #include "monitor/aggregator.h"
 
 #include <gtest/gtest.h>
@@ -32,8 +32,6 @@ class AggregatorIngestTest : public ::testing::Test {
   AggregatorConfig Config() {
     AggregatorConfig config;
     config.store_capacity = 1u << 16;
-    config.ingest_workers = 4;
-    config.store_shards = 4;
     config.wal_group_max = 8;
     return config;
   }
@@ -66,8 +64,8 @@ class AggregatorIngestTest : public ::testing::Test {
   msgq::Context context_;
 };
 
-// The headline contract: with 4 decode workers racing over interleaved
-// collector feeds, subscribers still observe global_seq 1..N in strictly
+// The headline contract: with 4 collector feeds interleaving on the
+// socket, subscribers observe global_seq 1..N in strictly
 // increasing publication order, and every event lands exactly once.
 TEST_F(AggregatorIngestTest, ParallelIngestKeepsSequencesMonotoneInPublishOrder) {
   const auto config = Config();
@@ -113,7 +111,7 @@ TEST_F(AggregatorIngestTest, ParallelIngestKeepsSequencesMonotoneInPublishOrder)
   EXPECT_EQ(stats.stored, kTotal);
   EXPECT_EQ(stats.decode_errors, 0u);
   EXPECT_EQ(last_seq, kTotal) << "sequences are dense: nothing skipped or duplicated";
-  // The sharded store serves the full range back, in order, no holes.
+  // The store serves the full range back, in order, no holes.
   const auto all = aggregator.store().Query(1, kTotal + 10);
   ASSERT_EQ(all.size(), kTotal);
   for (uint64_t i = 0; i < kTotal; ++i) {
@@ -121,9 +119,8 @@ TEST_F(AggregatorIngestTest, ParallelIngestKeepsSequencesMonotoneInPublishOrder)
   }
 }
 
-// Decode errors interleaved with good traffic across parallel workers are
-// counted exactly and never stall the sequencer (an errored ticket still
-// releases its window slot).
+// Decode errors interleaved with good traffic are counted exactly and
+// never stall sequencing of the good batches around them.
 TEST_F(AggregatorIngestTest, DecodeErrorsDoNotStallParallelSequencing) {
   auto config = Config();
   config.expected_decode_errors = 20;
@@ -150,10 +147,10 @@ TEST_F(AggregatorIngestTest, DecodeErrorsDoNotStallParallelSequencing) {
   EXPECT_EQ(stats.decode_errors, 15u);  // 10 garbage + 5 zero-event
 }
 
-// Group commit folds ready batches into one WAL lock acquisition. A
-// commit hook stalls the sequencer once, letting the decode pool run
-// ahead; when the sequencer resumes, the backlog must drain in a handful
-// of group commits instead of one per batch.
+// Group commit folds queued messages into one WAL lock acquisition. A
+// commit hook stalls the receive thread once, letting the socket fill;
+// when it resumes, the backlog must drain in a handful of group commits
+// instead of one per batch.
 TEST_F(AggregatorIngestTest, GroupCommitAmortizesWalAppends) {
   auto config = Config();
   std::atomic<bool> stalled{false};
@@ -212,12 +209,12 @@ TEST_F(AggregatorIngestTest, GroupSizeOneCommitsPerBatch) {
 }
 
 // The Stats() torn-read audit, as a test: reader threads hammer Stats(),
-// the store's query paths and NextSeq() while the parallel ingest path
-// mutates everything underneath. Every snapshot must be internally
+// the store's query paths and NextSeq() while the shard's ingest, store
+// and publish threads mutate everything underneath. Every snapshot must be internally
 // consistent (counters monotone, write-ahead ordering visible: stored
 // events were checkpointed first, received events never exceed the
-// sequencer's watermark). Run under TSan in scripts/check.sh, this is
-// also the data-race gate for the whole hot path.
+// sequence watermark). Run under TSan in scripts/check.sh, this is also
+// the data-race gate for the whole hot path.
 TEST_F(AggregatorIngestTest, StatsStayConsistentUnderIngestLoad) {
 #ifdef SDCI_TSAN
   constexpr int kBatches = 60;
@@ -258,7 +255,7 @@ TEST_F(AggregatorIngestTest, StatsStayConsistentUnderIngestLoad) {
         EXPECT_LE(stats.stored, stats.checkpointed);
         EXPECT_LE(checkpointed_first, stats.received);
         EXPECT_LE(stats.received, aggregator.NextSeq() - 1);
-        // Concurrent store reads against the striped shards.
+        // Concurrent store reads against the store thread's appends.
         const auto recent = aggregator.store().Query(
             stats.stored > 8 ? stats.stored - 8 : 1, 16);
         for (size_t i = 1; i < recent.size(); ++i) {

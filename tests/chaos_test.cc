@@ -218,13 +218,12 @@ TEST(Chaos, ExactlyOnceActionsSurviveAggregatorCrashes) {
 }
 
 // Crash the aggregator *inside* a group commit. The commit_hook runs on
-// the sequencer thread between sequencing a group and its WAL append;
+// the receive thread between sequencing a group and its WAL append;
 // stalling there while a crasher thread fires InjectCrash makes the crash
 // flag appear mid-commit. The write-ahead contract under test: the WAL
 // either has all of a group or none of it, the replay watermark never
 // advances past a half-committed group, and the history API serves the
-// full stream back with no duplicated or skipped global_seq — even with
-// 4 decode workers and 4 store shards churning underneath.
+// full stream back with no duplicated or skipped global_seq.
 TEST(Chaos, GroupCommitSurvivesMidCommitCrashes) {
   TimeAuthority authority(2000.0);
   const auto profile = lustre::TestbedProfile::Test();
@@ -232,17 +231,16 @@ TEST(Chaos, GroupCommitSurvivesMidCommitCrashes) {
 
   monitor::AggregatorConfig agg_config;
   agg_config.store_capacity = 1u << 20;
-  agg_config.ingest_workers = 4;
-  agg_config.store_shards = 4;
   agg_config.wal_group_max = 8;
   std::atomic<uint64_t> commits{0};
   std::atomic<bool> crash_window{false};
   agg_config.commit_hook = [&](size_t) {
     if ((commits.fetch_add(1, std::memory_order_relaxed) + 1) % 20 == 0) {
       crash_window.store(true, std::memory_order_release);
-      // Hold the sequencer here so the crash lands before this group's
-      // WAL append. The hook must NOT inject the crash itself: Crash()
-      // joins the sequencer thread, which is the thread running the hook.
+      // Hold the receive thread here so the crash lands before this
+      // group's WAL append. The hook must NOT inject the crash itself:
+      // Crash() joins the receive thread, which is the thread running the
+      // hook.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   };
@@ -292,6 +290,14 @@ TEST(Chaos, GroupCommitSurvivesMidCommitCrashes) {
   }
   crasher.request_stop();
   crasher.join();
+  // The last crash may still be awaiting its restart: with the crasher
+  // gone, wait for the supervisor to revive it before comparing counts.
+  const auto restart_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (agg_supervisor.restarts() < agg_supervisor.crashes() &&
+         std::chrono::steady_clock::now() < restart_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   const monitor::AggregatorStats stats = agg_supervisor.Stats();
   EXPECT_EQ(stats.checkpointed, kTotal);

@@ -15,14 +15,30 @@ TEST(TimeAuthority, NowAdvancesMonotonically) {
   EXPECT_GT(b, a);
 }
 
+// Real time scaled by `dilation`, as virtual time, with 1 us of slack for
+// the nanosecond truncations on both sides.
+VirtualDuration Scaled(std::chrono::nanoseconds real, double dilation) {
+  return VirtualDuration(static_cast<int64_t>(static_cast<double>(real.count()) * dilation));
+}
+constexpr VirtualDuration kRounding = Micros(1);
+
 TEST(TimeAuthority, DilationScalesVirtualTime) {
-  TimeAuthority authority(50.0);
+  constexpr double kDilation = 50.0;
+  TimeAuthority authority(kDilation);
+  const auto outer_start = std::chrono::steady_clock::now();
   const VirtualTime before = authority.Now();
+  const auto inner_start = std::chrono::steady_clock::now();
   authority.SleepFor(Millis(100));  // 100 virtual ms = 2 real ms
+  const auto inner_end = std::chrono::steady_clock::now();
   const VirtualTime after = authority.Now();
+  const auto outer_end = std::chrono::steady_clock::now();
   const auto elapsed = after - before;
   EXPECT_GE(elapsed, Millis(95));
-  EXPECT_LE(elapsed, Millis(200));  // generous slack for CI noise
+  // The virtual interval is the real one times the dilation, however long
+  // the host took: it lies between the real intervals measured just
+  // inside and just outside it, each scaled.
+  EXPECT_GE(elapsed, Scaled(inner_end - inner_start, kDilation) - kRounding);
+  EXPECT_LE(elapsed, Scaled(outer_end - outer_start, kDilation) + kRounding);
 }
 
 TEST(TimeAuthority, ToRealInvertsDilation) {
@@ -74,19 +90,37 @@ TEST(DelayBudget, PacedLoopMatchesModeledRate) {
 }
 
 TEST(DelayBudget, NettingCoversRealWork) {
-  // Charge ops whose modeled cost greatly exceeds the CPU burned between
-  // charges: total elapsed should track the model, not model + work.
-  TimeAuthority authority(50.0);
+  // Each op burns real CPU worth half its modeled cost, then charges the
+  // model. Netting deducts the CPU already spent, so the budget sleeps
+  // only the other half: the ops take the model, not model + work.
+  constexpr double kDilation = 10.0;
+  constexpr int kOps = 100;
+  constexpr auto kWorkPerOp = std::chrono::microseconds(300);  // real CPU
+  const VirtualDuration model_per_op = Scaled(2 * kWorkPerOp, kDilation);
+  const VirtualDuration model = model_per_op * kOps;
+  TimeAuthority authority(kDilation);
   DelayBudget budget(authority);
+  const auto real_start = std::chrono::steady_clock::now();
   const VirtualTime start = authority.Now();
-  volatile uint64_t sink = 0;
-  for (int i = 0; i < 100; ++i) {
-    for (int j = 0; j < 1000; ++j) sink = sink + j;  // some real CPU work
-    budget.Charge(Millis(2));
+  std::chrono::nanoseconds work_wall{0};
+  for (int i = 0; i < kOps; ++i) {
+    const auto work_start = std::chrono::steady_clock::now();
+    const auto cpu_target = ThreadCpuNow() + kWorkPerOp;
+    while (ThreadCpuNow() < cpu_target) {
+    }
+    work_wall += std::chrono::steady_clock::now() - work_start;
+    budget.Charge(model_per_op);
   }
   budget.Flush();
-  const double elapsed_s = ToSecondsF(authority.Now() - start);
-  EXPECT_NEAR(elapsed_s, 0.2, 0.05);  // 100 x 2ms modeled
+  const VirtualDuration elapsed = authority.Now() - start;
+  const auto slept = std::chrono::steady_clock::now() - real_start - work_wall;
+  // The budget never sleeps less than the model minus the CPU it netted,
+  // so the run as a whole takes at least the model.
+  EXPECT_GE(elapsed, model - kRounding);
+  // Without netting the budget would sleep the whole model on top of the
+  // work. With it, the real time outside the work loops, scaled, stays
+  // under the model (about half of it, plus any oversleep).
+  EXPECT_LT(Scaled(slept, kDilation), model) << "netting deducted none of the work";
 }
 
 TEST(FormatClockTime, HhMmSsFraction) {

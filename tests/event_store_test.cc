@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <thread>
 
 #include "common/rng.h"
@@ -142,18 +143,51 @@ TEST(EventStore, QueryTimeRangeSurvivesOutOfOrderAppends) {
   EXPECT_EQ(events[1].global_seq, 3u);
 }
 
-// ---- Sharded store: the single-shard store is the oracle. ----
+// ---- Oracle and concurrency properties of the single-lock store. ----
 
-// Randomized (but deterministic) append/query interleavings: a 4-shard
-// store must answer every Query and QueryTimeRange exactly like the
-// single-shard store fed the same batches in the same order.
+// A linear model of the store: every event ever appended, seq-sorted,
+// minus the oldest beyond capacity.
+class StoreModel {
+ public:
+  explicit StoreModel(size_t capacity) : capacity_(capacity) {}
+  void Append(const std::vector<FsEvent>& batch) {
+    events_.insert(events_.end(), batch.begin(), batch.end());
+    while (events_.size() > capacity_) events_.pop_front();
+  }
+  [[nodiscard]] std::vector<FsEvent> Query(uint64_t from_seq, size_t max) const {
+    std::vector<FsEvent> out;
+    for (const FsEvent& event : events_) {
+      if (out.size() < max && event.global_seq >= from_seq) out.push_back(event);
+    }
+    return out;
+  }
+  [[nodiscard]] std::vector<FsEvent> QueryTimeRange(VirtualTime from, VirtualTime to,
+                                                    size_t max) const {
+    std::vector<FsEvent> out;
+    for (const FsEvent& event : events_) {
+      if (out.size() < max && event.time >= from && event.time < to) {
+        out.push_back(event);
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] uint64_t FirstSeq() const {
+    return events_.empty() ? 0 : events_.front().global_seq;
+  }
+
+ private:
+  size_t capacity_;
+  std::deque<FsEvent> events_;
+};
+
+// Randomized (but deterministic) append/query interleavings: the store
+// must answer every Query and QueryTimeRange exactly like the linear
+// model fed the same batches in the same order, across rotation.
 TEST(EventStoreSharded, MatchesSingleShardOracleOnRandomizedQueries) {
   Rng rng(20260806);
-  // Capacity above the worst-case event count: rotation makes sharded and
-  // single-shard retention legitimately diverge (the floor hides shard
-  // stragglers); RotationNeverExposesMidRangeHoles covers that regime.
-  EventStore sharded(1u << 15, 4);
-  EventStore oracle(1u << 15, 1);
+  constexpr size_t kCapacity = 4096;
+  EventStore store(kCapacity);
+  StoreModel oracle(kCapacity);
   uint64_t seq = 0;
   int64_t time_us = 0;
   for (int round = 0; round < 200; ++round) {
@@ -167,17 +201,16 @@ TEST(EventStoreSharded, MatchesSingleShardOracleOnRandomizedQueries) {
       event.time = Micros(time_us);
       batch.push_back(std::move(event));
     }
-    sharded.AppendBatch(batch);
-    oracle.AppendBatch(std::move(batch));
+    oracle.Append(batch);
+    store.AppendBatch(std::move(batch));
 
     const auto from_seq = static_cast<uint64_t>(rng.NextInt(0, static_cast<int64_t>(seq) + 2));
     const auto max = static_cast<size_t>(rng.NextInt(1, 300));
     uint64_t got_first = 0;
-    uint64_t want_first = 0;
-    const auto got = sharded.Query(from_seq, max, &got_first);
-    const auto want = oracle.Query(from_seq, max, &want_first);
+    const auto got = store.Query(from_seq, max, &got_first);
+    const auto want = oracle.Query(from_seq, max);
     ASSERT_EQ(got.size(), want.size()) << "round " << round;
-    EXPECT_EQ(got_first, want_first);
+    EXPECT_EQ(got_first, oracle.FirstSeq());
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].global_seq, want[i].global_seq) << "round " << round;
       EXPECT_EQ(got[i].path, want[i].path);
@@ -185,7 +218,7 @@ TEST(EventStoreSharded, MatchesSingleShardOracleOnRandomizedQueries) {
 
     const int64_t from_t = rng.NextInt(0, time_us + 2);
     const int64_t to_t = from_t + rng.NextInt(0, time_us / 2 + 2);
-    const auto got_range = sharded.QueryTimeRange(Micros(from_t), Micros(to_t), max);
+    const auto got_range = store.QueryTimeRange(Micros(from_t), Micros(to_t), max);
     const auto want_range = oracle.QueryTimeRange(Micros(from_t), Micros(to_t), max);
     ASSERT_EQ(got_range.size(), want_range.size())
         << "round " << round << " [" << from_t << "," << to_t << ") max " << max;
@@ -193,17 +226,16 @@ TEST(EventStoreSharded, MatchesSingleShardOracleOnRandomizedQueries) {
       ASSERT_EQ(got_range[i].global_seq, want_range[i].global_seq);
     }
   }
-  EXPECT_EQ(sharded.Size(), oracle.Size());
-  EXPECT_EQ(sharded.TotalAppended(), oracle.TotalAppended());
-  EXPECT_EQ(sharded.FirstSeq(), oracle.FirstSeq());
-  EXPECT_EQ(sharded.LastSeq(), oracle.LastSeq());
+  EXPECT_EQ(store.Size(), std::min<uint64_t>(seq, kCapacity));
+  EXPECT_EQ(store.TotalAppended(), seq);
+  EXPECT_EQ(store.FirstSeq(), oracle.FirstSeq());
+  EXPECT_EQ(store.LastSeq(), seq);
 }
 
-// The property the parallel ingest path actually needs: concurrent
-// QueryTimeRange readers against concurrent sharded appends (multiple
-// writers racing over disjoint seq ranges) never crash, never return a
-// duplicate or out-of-order sequence, and — once the writers join — agree
-// with the single-shard oracle exactly.
+// Concurrent QueryTimeRange readers against concurrent appends (multiple
+// writers racing over disjoint seq ranges, so batches land out of order)
+// never crash, never return a duplicate or out-of-order sequence, and —
+// once the writers join — agree with a store fed in order exactly.
 TEST(EventStoreSharded, ConcurrentTimeRangeQueriesMatchOracle) {
 #ifdef SDCI_TSAN
   constexpr int kBatches = 120;
@@ -225,10 +257,10 @@ TEST(EventStoreSharded, ConcurrentTimeRangeQueriesMatchOracle) {
     }
     batches.push_back(std::move(batch));
   }
-  EventStore oracle(1u << 20, 1);
+  EventStore oracle(1u << 20);
   for (const auto& batch : batches) oracle.AppendBatch(batch);
 
-  EventStore sharded(1u << 20, 4);
+  EventStore store(1u << 20);
   std::atomic<size_t> next_batch{0};
   std::atomic<bool> done{false};
   std::vector<std::jthread> threads;
@@ -237,7 +269,7 @@ TEST(EventStoreSharded, ConcurrentTimeRangeQueriesMatchOracle) {
       while (true) {
         const size_t index = next_batch.fetch_add(1, std::memory_order_relaxed);
         if (index >= batches.size()) break;
-        sharded.AppendBatch(batches[index]);
+        store.AppendBatch(batches[index]);
       }
     });
   }
@@ -247,9 +279,9 @@ TEST(EventStoreSharded, ConcurrentTimeRangeQueriesMatchOracle) {
       while (!done.load(std::memory_order_acquire)) {
         const int64_t from = rng.NextInt(0, kBatches * static_cast<int64_t>(kBatchSize));
         const int64_t to = from + rng.NextInt(1, 512);
-        const auto got = sharded.QueryTimeRange(Micros(from), Micros(to), 256);
+        const auto got = store.QueryTimeRange(Micros(from), Micros(to), 256);
         for (size_t i = 1; i < got.size(); ++i) {
-          // Ordered, duplicate-free: the merge iterator's contract.
+          // Ordered and duplicate-free.
           ASSERT_GT(got[i].global_seq, got[i - 1].global_seq);
         }
         for (const FsEvent& event : got) {
@@ -269,51 +301,21 @@ TEST(EventStoreSharded, ConcurrentTimeRangeQueriesMatchOracle) {
   for (int probe = 0; probe < 50; ++probe) {
     const int64_t from = rng.NextInt(0, static_cast<int64_t>(seq) + 2);
     const int64_t to = from + rng.NextInt(0, 2048);
-    const auto got = sharded.QueryTimeRange(Micros(from), Micros(to), 400);
+    const auto got = store.QueryTimeRange(Micros(from), Micros(to), 400);
     const auto want = oracle.QueryTimeRange(Micros(from), Micros(to), 400);
     ASSERT_EQ(got.size(), want.size()) << "[" << from << "," << to << ")";
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].global_seq, want[i].global_seq);
     }
   }
-  EXPECT_EQ(sharded.Size(), oracle.Size());
-  EXPECT_EQ(sharded.LastSeq(), oracle.LastSeq());
+  EXPECT_EQ(store.Size(), oracle.Size());
+  EXPECT_EQ(store.LastSeq(), oracle.LastSeq());
 }
 
-// Rotation across stripes: per-shard eviction could leave mid-range holes
-// (shard A evicts seq 100 while shard B still holds seq 90); the eviction
-// floor must hide the stragglers so query results stay gap-free — a
-// backfilling consumer trusts first_available to mean "everything from
-// here on is present".
-TEST(EventStoreSharded, RotationNeverExposesMidRangeHoles) {
-  EventStore store(64, 4);  // 16 events per shard
-  uint64_t seq = 0;
-  for (int round = 0; round < 40; ++round) {
-    // Uneven batch sizes drive the shards' rotation out of phase.
-    const size_t batch_size = 1 + (static_cast<size_t>(round) * 7) % 96;
-    std::vector<FsEvent> batch;
-    for (size_t i = 0; i < batch_size; ++i) batch.push_back(EventWithSeq(++seq));
-    store.AppendBatch(std::move(batch));
-
-    uint64_t first_available = 0;
-    const auto events = store.Query(0, 1u << 20, &first_available);
-    ASSERT_FALSE(events.empty());
-    EXPECT_EQ(events.front().global_seq, first_available);
-    EXPECT_EQ(events.back().global_seq, seq);
-    for (size_t i = 1; i < events.size(); ++i) {
-      ASSERT_EQ(events[i].global_seq, events[i - 1].global_seq + 1)
-          << "hole after rotation, round " << round;
-    }
-  }
-  EXPECT_EQ(store.TotalAppended(), seq);
-}
-
-// Per-shard time indexes degrade independently: an out-of-order append
-// poisons only its own shard's binary-search fast path; results stay
-// correct either way (the oracle comparison above covers correctness,
-// this covers the single-shard regression shape at shards > 1).
+// One time regression in the middle of a long run drops the store to a
+// linear scan; results stay correct and seq-ordered.
 TEST(EventStoreSharded, OutOfOrderTimesStayQueryable) {
-  EventStore store(1024, 4);
+  EventStore store(1024);
   // Seqs 1..300 but one time regression in the middle of the range.
   for (uint64_t s = 1; s <= 300; ++s) {
     FsEvent event = EventWithSeq(s);
@@ -325,66 +327,6 @@ TEST(EventStoreSharded, OutOfOrderTimesStayQueryable) {
   ASSERT_EQ(events.size(), 10u);
   EXPECT_EQ(events.front().global_seq, 1u);
   EXPECT_EQ(events.back().global_seq, 150u);
-}
-
-// The k-way merge at exact stripe-rotation boundaries: sequences rotate
-// to a new shard every kSeqStripe (64) sequences, so queries that start
-// on, straddle, or end at a multiple of 64 exercise the seams where the
-// merge switches source runs. Each must return exactly the contiguous
-// range, in order, regardless of which shard holds which stripe.
-TEST(EventStoreSharded, KWayMergeExactAtStripeRotationBoundaries) {
-  EventStore store(1u << 12, 4);
-  for (uint64_t s = 1; s <= 512; ++s) store.Append(EventWithSeq(s));
-  // from_seq one before, on, and one after each rotation seam; max sized
-  // so the result also *ends* at or around a seam.
-  for (const uint64_t from : {63u, 64u, 65u, 127u, 128u, 191u, 256u}) {
-    for (const size_t max : {1u, 63u, 64u, 65u, 128u}) {
-      const auto events = store.Query(from, max);
-      ASSERT_EQ(events.size(), std::min<size_t>(max, 512 - from + 1))
-          << "from=" << from << " max=" << max;
-      for (size_t i = 0; i < events.size(); ++i) {
-        ASSERT_EQ(events[i].global_seq, from + i)
-            << "merge seam broke order at from=" << from << " max=" << max;
-      }
-    }
-  }
-}
-
-// Time-range queries cross the same seams: a range whose matching events
-// span a stripe rotation must come back seq-ordered and truncated by max
-// to the *lowest* sequences (the merge must not truncate per shard and
-// then lose earlier events from another shard's run).
-TEST(EventStoreSharded, TimeRangeMergeTruncatesAcrossStripeRotation) {
-  EventStore store(1u << 12, 4);
-  for (uint64_t s = 1; s <= 256; ++s) store.Append(EventWithSeq(s));
-  // times are s*1000us; [60ms, 70ms) covers seqs 60..69 — straddling the
-  // 64-seq rotation from one shard's stripe into the next shard's.
-  const auto events = store.QueryTimeRange(Micros(60000), Micros(70000), 1u << 10);
-  ASSERT_EQ(events.size(), 10u);
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].global_seq, 60 + i);
-  }
-  // Truncation keeps the merge's head, not an arbitrary shard's.
-  const auto truncated = store.QueryTimeRange(Micros(60000), Micros(70000), 6);
-  ASSERT_EQ(truncated.size(), 6u);
-  EXPECT_EQ(truncated.front().global_seq, 60u);
-  EXPECT_EQ(truncated.back().global_seq, 65u);
-}
-
-// Rotation landing exactly on a stripe edge: evict precisely up to a
-// multiple of kSeqStripe and verify the merge still stitches the floor
-// shard to its successors without duplicating or skipping the edge.
-TEST(EventStoreSharded, RotationAtStripeEdgeKeepsMergeContiguous) {
-  EventStore store(128, 4);  // 32 per shard: eviction edges hit stripe seams
-  for (uint64_t s = 1; s <= 384; ++s) store.Append(EventWithSeq(s));
-  uint64_t first_available = 0;
-  const auto events = store.Query(0, 1u << 20, &first_available);
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front().global_seq, first_available);
-  EXPECT_EQ(events.back().global_seq, 384u);
-  for (size_t i = 1; i < events.size(); ++i) {
-    ASSERT_EQ(events[i].global_seq, events[i - 1].global_seq + 1);
-  }
 }
 
 }  // namespace

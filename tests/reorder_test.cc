@@ -55,45 +55,21 @@ TEST(ReorderBuffer, WindowBlocksProducerUntilRelease) {
   EXPECT_TRUE(acquired.load());
 }
 
-TEST(ReorderBuffer, TakeGroupFoldsOnlyConsecutiveCompletedTickets) {
-  ReorderBuffer<int> buffer(16);
-  for (int i = 0; i < 5; ++i) (void)buffer.Acquire();
-  // 0,1 ready; 2 missing; 3,4 ready — the group must stop at the hole.
-  buffer.Complete(0, 100);
-  buffer.Complete(1, 101);
-  buffer.Complete(3, 103);
-  buffer.Complete(4, 104);
-  auto group = buffer.TakeGroup(16);
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(group[0], 100);
-  EXPECT_EQ(group[1], 101);
-  EXPECT_EQ(buffer.Occupancy(), 2u) << "3 and 4 stay parked behind 2";
-  buffer.Complete(2, 102);
-  group = buffer.TakeGroup(2);  // max caps the fold
-  ASSERT_EQ(group.size(), 2u);
-  EXPECT_EQ(group[0], 102);
-  EXPECT_EQ(group[1], 103);
-  buffer.MarkDone();
-  group = buffer.TakeGroup(16);
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0], 104);
-  EXPECT_TRUE(buffer.TakeGroup(16).empty()) << "done and drained";
-}
-
 TEST(ReorderBuffer, ReopenContinuesTicketsAfterDone) {
   ReorderBuffer<int> buffer(4);
   (void)buffer.Acquire();
   buffer.Complete(0, 7);
   buffer.MarkDone();
-  EXPECT_EQ(buffer.TakeGroup(4).size(), 1u);
-  EXPECT_TRUE(buffer.TakeGroup(4).empty());
+  int value = 0;
+  ASSERT_TRUE(buffer.AwaitNext(value));
+  buffer.Release();
+  EXPECT_FALSE(buffer.AwaitNext(value)) << "done and drained";
   buffer.Reopen();
   EXPECT_EQ(buffer.Acquire(), 1u) << "tickets continue, not reset";
   buffer.Complete(1, 8);
   buffer.MarkDone();
-  auto group = buffer.TakeGroup(4);
-  ASSERT_EQ(group.size(), 1u);
-  EXPECT_EQ(group[0], 8);
+  ASSERT_TRUE(buffer.AwaitNext(value));
+  EXPECT_EQ(value, 8);
 }
 
 TEST(ReorderBuffer, ConcurrentWorkersPreserveOrderUnderLoad) {
@@ -101,7 +77,7 @@ TEST(ReorderBuffer, ConcurrentWorkersPreserveOrderUnderLoad) {
   constexpr int kWorkers = 4;
   ReorderBuffer<int> buffer(32);
   // Producer + worker pool completing out of order (each worker handles the
-  // tickets congruent to its index), consumer folding groups.
+  // tickets congruent to its index), consumer releasing in ticket order.
   std::thread producer([&] {
     for (int i = 0; i < kItems; ++i) {
       const uint64_t ticket = buffer.Acquire();
@@ -125,15 +101,16 @@ TEST(ReorderBuffer, ConcurrentWorkersPreserveOrderUnderLoad) {
   // Consume concurrently: the producer blocks on the window until the
   // consumer releases tickets, so draining after join would deadlock.
   int expected = 0;
+  int value = 0;
   while (expected < kItems) {
-    auto group = buffer.TakeGroup(8);
-    ASSERT_FALSE(group.empty());
-    for (int value : group) EXPECT_EQ(value, expected++);
+    ASSERT_TRUE(buffer.AwaitNext(value));
+    EXPECT_EQ(value, expected++);
+    buffer.Release();
   }
   producer.join();
   for (std::thread& worker : workers) worker.join();
   buffer.MarkDone();
-  EXPECT_TRUE(buffer.TakeGroup(8).empty()) << "done and drained";
+  EXPECT_FALSE(buffer.AwaitNext(value)) << "done and drained";
   EXPECT_EQ(expected, kItems);
 }
 
@@ -149,7 +126,11 @@ TEST(ReorderBuffer, AccountingGauges) {
   EXPECT_EQ(buffer.Occupancy(), 1u);
   buffer.Complete(0, 0);
   EXPECT_EQ(buffer.Occupancy(), 2u);
-  (void)buffer.TakeGroup(8);
+  int value = 0;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(buffer.AwaitNext(value));
+    buffer.Release();
+  }
   EXPECT_EQ(buffer.Occupancy(), 0u);
   EXPECT_EQ(buffer.InFlight(), 0u);
   EXPECT_EQ(buffer.TicketsIssued(), 2u);
